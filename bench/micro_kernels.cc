@@ -180,20 +180,6 @@ void SetMatchSeconds(benchmark::State& state, std::size_t queries_per_iter) {
           benchmark::Counter::kInvert);
 }
 
-void BM_ScalarShapeArgmin(benchmark::State& state) {
-  const auto gallery = RandomGallery(
-      static_cast<std::size_t>(state.range(0)), 11);
-  const auto queries = RandomGallery(16, 12);
-  for (auto _ : state) {
-    for (const ImageFeatures& q : queries) {
-      benchmark::DoNotOptimize(ShapeArgminOverRange(
-          q, gallery, 0, gallery.size(), ShapeMatchMethod::kI3));
-    }
-  }
-  SetMatchSeconds(state, queries.size());
-}
-BENCHMARK(BM_ScalarShapeArgmin)->Arg(1024)->Arg(4096);
-
 void BM_BankShapeArgmin(benchmark::State& state) {
   const auto gallery = RandomGallery(
       static_cast<std::size_t>(state.range(0)), 11);
@@ -201,27 +187,13 @@ void BM_BankShapeArgmin(benchmark::State& state) {
   const FeatureBank bank = PackFeatureBank(gallery);
   for (auto _ : state) {
     for (const ImageFeatures& q : queries) {
-      benchmark::DoNotOptimize(BankShapeArgminOverRange(
-          q, bank, 0, bank.size(), ShapeMatchMethod::kI3));
+      benchmark::DoNotOptimize(BankShapeArgmin(
+          q, bank, ViewRange(0, bank.size()), ShapeMatchMethod::kI3));
     }
   }
   SetMatchSeconds(state, queries.size());
 }
 BENCHMARK(BM_BankShapeArgmin)->Arg(1024)->Arg(4096);
-
-void BM_ScalarColorArgbest(benchmark::State& state) {
-  const auto gallery = RandomGallery(
-      static_cast<std::size_t>(state.range(0)), 11);
-  const auto queries = RandomGallery(16, 12);
-  for (auto _ : state) {
-    for (const ImageFeatures& q : queries) {
-      benchmark::DoNotOptimize(ColorArgbestOverRange(
-          q, gallery, 0, gallery.size(), HistCompareMethod::kHellinger));
-    }
-  }
-  SetMatchSeconds(state, queries.size());
-}
-BENCHMARK(BM_ScalarColorArgbest)->Arg(1024)->Arg(4096);
 
 void BM_BankColorArgbest(benchmark::State& state) {
   const auto gallery = RandomGallery(
@@ -230,8 +202,8 @@ void BM_BankColorArgbest(benchmark::State& state) {
   const FeatureBank bank = PackFeatureBank(gallery);
   for (auto _ : state) {
     for (const ImageFeatures& q : queries) {
-      benchmark::DoNotOptimize(BankColorArgbestOverRange(
-          q, bank, 0, bank.size(), HistCompareMethod::kHellinger));
+      benchmark::DoNotOptimize(BankColorArgbest(
+          q, bank, ViewRange(0, bank.size()), HistCompareMethod::kHellinger));
     }
   }
   SetMatchSeconds(state, queries.size());
@@ -249,8 +221,8 @@ void BM_AnnCandidateRerank(benchmark::State& state) {
   for (auto _ : state) {
     for (const ImageFeatures& q : queries) {
       const std::vector<int> cands = index.Candidates(q, true, false);
-      benchmark::DoNotOptimize(BankShapeArgminOverCandidates(
-          q, bank, cands, ShapeMatchMethod::kI3));
+      benchmark::DoNotOptimize(BankShapeArgmin(q, bank, ViewList(cands),
+                                               ShapeMatchMethod::kI3));
     }
   }
   SetMatchSeconds(state, queries.size());

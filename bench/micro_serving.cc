@@ -103,7 +103,7 @@ void BM_BatchEngineClassify(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(queries.size()));
 }
-BENCHMARK(BM_BatchEngineClassify)->Arg(1)->Arg(4)->Arg(0);
+BENCHMARK(BM_BatchEngineClassify)->Arg(1)->Arg(4)->Arg(0)->UseRealTime();
 
 /// ANN path: candidate retrieval + exact rerank. Reports per-query
 /// `match_s` and `ann_recall` (label agreement with the exact engine on
@@ -143,7 +143,7 @@ void BM_BatchEngineClassifyAnn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(queries.size()));
 }
-BENCHMARK(BM_BatchEngineClassifyAnn)->Arg(16)->Arg(48);
+BENCHMARK(BM_BatchEngineClassifyAnn)->Arg(16)->Arg(48)->UseRealTime();
 
 }  // namespace
 }  // namespace snor::serve

@@ -116,9 +116,8 @@ int Run(const DaemonConfig& daemon) {
   std::printf("service up: hybrid spec, %zu gallery features, degraded "
               "fallback %s\n\n",
               gallery.size(),
-              service.value()->degraded_engine() != nullptr
-                  ? "colour-only"
-                  : "none");
+              service.value()->has_degraded_path() ? "colour-only"
+                                                   : "none");
 
   // Live introspection (optional): tail-keep tracing feeds /tracez, the
   // service's /statusz handler reads stats + SLO burn rates. The server

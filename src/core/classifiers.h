@@ -2,28 +2,16 @@
 #define SNOR_CORE_CLASSIFIERS_H_
 
 #include <cstdint>
-#include <limits>
-#include <memory>
-#include <string>
 #include <vector>
 
+#include "core/feature_bank.h"
 #include "core/feature_cache.h"
 #include "features/histogram.h"
 #include "geometry/moments.h"
 #include "util/rng.h"
-#include "util/status.h"
+#include "util/thread_annotations.h"
 
 namespace snor {
-
-/// \brief Argmin aggregation strategies for the hybrid pipeline (§3.2).
-enum class HybridStrategy {
-  /// argmin over every individual view score (the paper's Theta_T).
-  kWeightedSum,
-  /// argmin over per-model score averages (micro-average, Theta_Z).
-  kMicroAverage,
-  /// argmin over per-class score averages (macro-average, Theta_C).
-  kMacroAverage,
-};
 
 /// \brief Counters describing how often a classifier had to shed a
 /// modality to keep answering (graceful degradation, never a crash).
@@ -42,11 +30,17 @@ struct DegradationStats {
 /// comes from the reference view(s) optimising a similarity or distance
 /// function against the input.
 ///
-/// Construction tolerates an empty gallery (every prediction is then the
-/// fallback label); use `MakeClassifier` for a validating factory.
-class MatchingClassifier {
+/// The constructor packs the gallery into one FeatureBank and keeps
+/// nothing else of it; every subclass scores bank rows with the shared
+/// kernels of core/feature_bank.h. Construction tolerates an empty
+/// gallery (every prediction is then the fallback label); use
+/// `MakeClassifier` for a validating factory.
+///
+/// OWNS_VIEWS: `bank()` rows are borrowed from the classifier and die with
+/// it; take them inside the scan that uses them.
+class SNOR_OWNS_VIEWS MatchingClassifier {
  public:
-  explicit MatchingClassifier(std::vector<ImageFeatures> gallery);
+  explicit MatchingClassifier(const std::vector<ImageFeatures>& gallery);
   virtual ~MatchingClassifier() = default;
 
   /// Predicts the class of one input's features. Never fails: degraded
@@ -57,19 +51,24 @@ class MatchingClassifier {
   [[nodiscard]] std::vector<ObjectClass> ClassifyAll(
       const std::vector<ImageFeatures>& inputs);
 
-  const std::vector<ImageFeatures>& gallery() const { return gallery_; }
+  /// The packed gallery, view-index-aligned with the constructor input.
+  const FeatureBank& bank() const SNOR_LIFETIME_BOUND { return bank_; }
 
   /// How often Classify had to degrade since construction.
   const DegradationStats& degradation() const { return degradation_; }
 
  protected:
-  /// Deterministic fallback when no gallery view produces a usable score.
+  /// Deterministic fallback when no gallery view produces a usable score:
+  /// the first view's label (class 0 for an empty gallery).
   ObjectClass FallbackLabel() const;
+
+  /// The whole bank as one view set.
+  ViewRange AllViews() const { return ViewRange(0, bank_.size()); }
 
   DegradationStats degradation_;
 
  private:
-  std::vector<ImageFeatures> gallery_;
+  FeatureBank bank_;
 };
 
 /// True when the input carries a usable contour-shape modality (valid
@@ -80,82 +79,10 @@ class MatchingClassifier {
 /// with positive mass).
 [[nodiscard]] bool ColorModalityUsable(const ImageFeatures& input);
 
-/// Sentinel marking a per-view score as unusable (poisoned, invalid view,
-/// or collapsed modality). Argmin reductions never select it.
-inline constexpr double kUnusableScore = std::numeric_limits<double>::max();
-
-/// \brief Partial arg-optimum of one gallery range: the strictly best
-/// usable view score seen while scanning the range in ascending index
-/// order. Merging partials of contiguous ascending ranges with the same
-/// strict comparison reproduces the sequential scan bit-for-bit, which is
-/// what lets the sharded BatchEngine return cold-path-identical labels.
-struct PartialBest {
-  double score = 0.0;
-  ObjectClass label = ObjectClass::kChair;
-  /// False when no view in the range produced a usable score.
-  bool found = false;
-};
-
-/// Shape-only partial argmin over gallery views [begin, end): skips
-/// invalid views and non-finite (poisoned) scores, keeps the first strict
-/// minimum. Exactly the loop body of ShapeOnlyClassifier::Classify.
-[[nodiscard]] PartialBest ShapeArgminOverRange(
-    const ImageFeatures& input, const std::vector<ImageFeatures>& gallery,
-    std::size_t begin, std::size_t end, ShapeMatchMethod method);
-
-/// Colour-only partial arg-optimum over gallery views [begin, end):
-/// maximises similarity metrics, minimises distance metrics, skipping
-/// invalid views and non-finite scores. Exactly the loop body of
-/// ColorOnlyClassifier::Classify.
-[[nodiscard]] PartialBest ColorArgbestOverRange(
-    const ImageFeatures& input, const std::vector<ImageFeatures>& gallery,
-    std::size_t begin, std::size_t end, HistCompareMethod method);
-
-/// Colour comparison as a "smaller is better" score the way the paper
-/// uses it in theta: distances pass through, similarities are inverted.
-[[nodiscard]] double HybridColorDistance(const ColorHistogram& a,
-                                         const ColorHistogram& b,
-                                         HistCompareMethod method);
-
-/// Raw-pointer core of HybridColorDistance over two bin arrays of length
-/// `n`; the SoA feature-bank kernels call this on bank rows so the
-/// similarity inversion lives in exactly one place.
-[[nodiscard]] double HybridColorDistanceRaw(const double* a, const double* b,
-                                            std::size_t n,
-                                            HistCompareMethod method);
-
-/// Fills `shape_scores`/`color_scores` (pre-sized to the gallery, filled
-/// with kUnusableScore) for gallery views [begin, end) and counts the
-/// usable scores of each requested modality. The per-view arithmetic is
-/// the one the HybridClassifier runs, so a sharded fill produces
-/// bit-identical score vectors.
-void ComputeHybridScoresOverRange(
-    const ImageFeatures& input, const std::vector<ImageFeatures>& gallery,
-    std::size_t begin, std::size_t end, ShapeMatchMethod shape_method,
-    HistCompareMethod color_method, bool use_shape, bool use_color,
-    std::vector<double>* shape_scores, std::vector<double>* color_scores,
-    std::size_t* shape_usable, std::size_t* color_usable);
-
-/// Combines per-view modality scores into theta: alpha*S + beta*C when
-/// both modalities are live, the surviving modality alone otherwise.
-/// Entries stay kUnusableScore when a required score is unusable.
-[[nodiscard]] std::vector<double> AssembleHybridTheta(
-    const std::vector<double>& shape_scores,
-    const std::vector<double>& color_scores, double alpha, double beta,
-    bool shape_live, bool color_live);
-
-/// The three argmin strategies of §3.2 over a per-view theta vector
-/// (index-aligned with `gallery`); `fallback` wins when no view is
-/// usable. Shared by HybridClassifier and the serve-side BatchEngine.
-[[nodiscard]] ObjectClass HybridArgminLabel(
-    const std::vector<double>& theta,
-    const std::vector<ImageFeatures>& gallery, HybridStrategy strategy,
-    ObjectClass fallback);
-
 /// \brief Uniform random label assignment (the paper's reference baseline).
 class RandomBaselineClassifier : public MatchingClassifier {
  public:
-  RandomBaselineClassifier(std::vector<ImageFeatures> gallery,
+  RandomBaselineClassifier(const std::vector<ImageFeatures>& gallery,
                            std::uint64_t seed);
 
   ObjectClass Classify(const ImageFeatures& input) override;
@@ -168,7 +95,7 @@ class RandomBaselineClassifier : public MatchingClassifier {
 /// over all gallery views (§3.2, "Shape only L1/L2/L3").
 class ShapeOnlyClassifier : public MatchingClassifier {
  public:
-  ShapeOnlyClassifier(std::vector<ImageFeatures> gallery,
+  ShapeOnlyClassifier(const std::vector<ImageFeatures>& gallery,
                       ShapeMatchMethod method);
 
   ObjectClass Classify(const ImageFeatures& input) override;
@@ -181,7 +108,7 @@ class ShapeOnlyClassifier : public MatchingClassifier {
 /// all gallery views (§3.2, "Color only ...").
 class ColorOnlyClassifier : public MatchingClassifier {
  public:
-  ColorOnlyClassifier(std::vector<ImageFeatures> gallery,
+  ColorOnlyClassifier(const std::vector<ImageFeatures>& gallery,
                       HistCompareMethod method);
 
   ObjectClass Classify(const ImageFeatures& input) override;
@@ -196,7 +123,7 @@ class ColorOnlyClassifier : public MatchingClassifier {
 /// the paper.
 class HybridClassifier : public MatchingClassifier {
  public:
-  HybridClassifier(std::vector<ImageFeatures> gallery,
+  HybridClassifier(const std::vector<ImageFeatures>& gallery,
                    ShapeMatchMethod shape_method,
                    HistCompareMethod color_method, double alpha, double beta,
                    HybridStrategy strategy);
@@ -208,7 +135,7 @@ class HybridClassifier : public MatchingClassifier {
   ObjectClass Classify(const ImageFeatures& input) override;
 
   /// The per-view theta scores for one input (exposed for tests and
-  /// diagnostics); index-aligned with gallery(). Views whose score is
+  /// diagnostics); index-aligned with bank(). Views whose score is
   /// non-finite (e.g. an injected NaN) are reported as unusable (a huge
   /// positive sentinel that argmin never selects).
   [[nodiscard]] std::vector<double> ViewScores(const ImageFeatures& input) const;
@@ -222,8 +149,6 @@ class HybridClassifier : public MatchingClassifier {
                                      bool use_shape, bool use_color,
                                      bool* shape_live = nullptr,
                                      bool* color_live = nullptr) const;
-
-  ObjectClass ArgminLabel(const std::vector<double>& theta) const;
 
   ShapeMatchMethod shape_method_;
   HistCompareMethod color_method_;

@@ -87,7 +87,7 @@ std::vector<ApproachSpec> Table2Approaches(double alpha, double beta) {
 }
 
 Result<std::unique_ptr<MatchingClassifier>> MakeClassifier(
-    const ApproachSpec& spec, std::vector<ImageFeatures> gallery,
+    const ApproachSpec& spec, const std::vector<ImageFeatures>& gallery,
     std::uint64_t baseline_seed) {
   if (gallery.empty()) {
     return Status::InvalidArgument("cannot build " + spec.DisplayName() +
@@ -106,20 +106,18 @@ Result<std::unique_ptr<MatchingClassifier>> MakeClassifier(
   std::unique_ptr<MatchingClassifier> classifier;
   switch (spec.kind) {
     case ApproachSpec::Kind::kBaseline:
-      classifier = std::make_unique<RandomBaselineClassifier>(
-          std::move(gallery), baseline_seed);
+      classifier =
+          std::make_unique<RandomBaselineClassifier>(gallery, baseline_seed);
       break;
     case ApproachSpec::Kind::kShape:
-      classifier = std::make_unique<ShapeOnlyClassifier>(std::move(gallery),
-                                                         spec.shape);
+      classifier = std::make_unique<ShapeOnlyClassifier>(gallery, spec.shape);
       break;
     case ApproachSpec::Kind::kColor:
-      classifier = std::make_unique<ColorOnlyClassifier>(std::move(gallery),
-                                                         spec.color);
+      classifier = std::make_unique<ColorOnlyClassifier>(gallery, spec.color);
       break;
     case ApproachSpec::Kind::kHybrid:
       classifier = std::make_unique<HybridClassifier>(
-          std::move(gallery), spec.shape, spec.color, spec.alpha, spec.beta,
+          gallery, spec.shape, spec.color, spec.alpha, spec.beta,
           spec.strategy);
       break;
   }

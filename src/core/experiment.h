@@ -1,6 +1,7 @@
 #ifndef SNOR_CORE_EXPERIMENT_H_
 #define SNOR_CORE_EXPERIMENT_H_
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -39,7 +40,7 @@ std::vector<ApproachSpec> Table2Approaches(double alpha = 0.3,
 /// gallery has no valid view to match against — a truncated gallery file
 /// or an all-faulted load must not take down the caller.
 [[nodiscard]] Result<std::unique_ptr<MatchingClassifier>> MakeClassifier(
-    const ApproachSpec& spec, std::vector<ImageFeatures> gallery,
+    const ApproachSpec& spec, const std::vector<ImageFeatures>& gallery,
     std::uint64_t baseline_seed = 2019);
 
 /// \brief Experiment-wide knobs shared by the bench harnesses.

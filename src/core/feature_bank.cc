@@ -19,6 +19,11 @@ namespace {
 
 constexpr double kHuge = kUnusableScore;
 
+// An empty bank has no geometry to match (and no view is ever scored).
+void CheckQueryGeometry(const ImageFeatures& input, const FeatureBank& bank) {
+  if (!bank.empty()) SNOR_CHECK_EQ(input.histogram.num_bins(), bank.hist_bins);
+}
+
 // Rounds a row width up to a whole number of 64-byte cache lines of the
 // element type.
 std::size_t PadStride(std::size_t logical, std::size_t elem_size) {
@@ -85,13 +90,41 @@ std::vector<ImageFeatures> UnpackFeatureBank(const FeatureBank& bank) {
   return gallery;
 }
 
-PartialBest BankShapeArgminOverRange(const ImageFeatures& input,
-                                     const FeatureBank& bank,
-                                     std::size_t begin, std::size_t end,
-                                     ShapeMatchMethod method) {
+double HybridColorDistanceRaw(const double* a, const double* b,
+                              const std::size_t n, HistCompareMethod method) {
+  const double c = CompareHistogramsRaw(a, b, n, method);
+  if (!IsSimilarityMetric(method)) return c;
+  return 1.0 / std::max(c, 1e-6);
+}
+
+std::vector<double> AssembleHybridTheta(
+    const std::vector<double>& shape_scores,
+    const std::vector<double>& color_scores, double alpha, double beta,
+    bool shape_live, bool color_live) {
+  const std::size_t n = shape_scores.size();
+  std::vector<double> theta(n, kHuge);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (shape_live && color_live) {
+      if (shape_scores[i] < kHuge && color_scores[i] < kHuge) {
+        theta[i] = alpha * shape_scores[i] + beta * color_scores[i];
+      }
+    } else if (shape_live) {
+      theta[i] = shape_scores[i];
+    } else if (color_live) {
+      theta[i] = color_scores[i];
+    }
+  }
+  return theta;
+}
+
+template <typename Views>
+PartialBest BankShapeArgmin(const ImageFeatures& input,
+                            const FeatureBank& bank, const Views& views,
+                            ShapeMatchMethod method) {
   PartialBest partial;
   partial.score = kHuge;
-  for (std::size_t i = begin; i < end; ++i) {
+  for (const auto view : views) {
+    const auto i = static_cast<std::size_t>(view);
     if (!bank.IsValid(i)) continue;
     const double d = MaybePoisonScore(
         MatchShapesRaw(input.hu.data(), bank.HuRow(i), method));
@@ -105,16 +138,17 @@ PartialBest BankShapeArgminOverRange(const ImageFeatures& input,
   return partial;
 }
 
-PartialBest BankColorArgbestOverRange(const ImageFeatures& input,
-                                      const FeatureBank& bank,
-                                      std::size_t begin, std::size_t end,
-                                      HistCompareMethod method) {
-  SNOR_CHECK_EQ(input.histogram.num_bins(), bank.hist_bins);
+template <typename Views>
+PartialBest BankColorArgbest(const ImageFeatures& input,
+                             const FeatureBank& bank, const Views& views,
+                             HistCompareMethod method) {
+  CheckQueryGeometry(input, bank);
   const double* q = input.histogram.bins().data();
   const bool maximize = IsSimilarityMetric(method);
   PartialBest partial;
   partial.score = maximize ? -kHuge : kHuge;
-  for (std::size_t i = begin; i < end; ++i) {
+  for (const auto view : views) {
+    const auto i = static_cast<std::size_t>(view);
     if (!bank.IsValid(i)) continue;
     const double c =
         CompareHistogramsRaw(q, bank.HistRow(i), bank.hist_bins, method);
@@ -129,15 +163,17 @@ PartialBest BankColorArgbestOverRange(const ImageFeatures& input,
   return partial;
 }
 
-void BankHybridScoresOverRange(
-    const ImageFeatures& input, const FeatureBank& bank, std::size_t begin,
-    std::size_t end, ShapeMatchMethod shape_method,
-    HistCompareMethod color_method, bool use_shape, bool use_color,
-    std::vector<double>* shape_scores, std::vector<double>* color_scores,
-    std::size_t* shape_usable, std::size_t* color_usable) {
-  if (use_color) SNOR_CHECK_EQ(input.histogram.num_bins(), bank.hist_bins);
+template <typename Views>
+void BankHybridScores(const ImageFeatures& input, const FeatureBank& bank,
+                      const Views& views, ShapeMatchMethod shape_method,
+                      HistCompareMethod color_method, bool use_shape,
+                      bool use_color, std::vector<double>* shape_scores,
+                      std::vector<double>* color_scores,
+                      std::size_t* shape_usable, std::size_t* color_usable) {
+  if (use_color) CheckQueryGeometry(input, bank);
   const double* q_hist = input.histogram.bins().data();
-  for (std::size_t i = begin; i < end; ++i) {
+  for (const auto view : views) {
+    const auto i = static_cast<std::size_t>(view);
     if (!bank.IsValid(i)) continue;
     if (use_shape) {
       const double s = MaybePoisonScore(
@@ -158,81 +194,20 @@ void BankHybridScoresOverRange(
   }
 }
 
-PartialBest BankShapeArgminOverCandidates(const ImageFeatures& input,
-                                          const FeatureBank& bank,
-                                          const std::vector<int>& candidates,
-                                          ShapeMatchMethod method) {
-  PartialBest partial;
-  partial.score = kHuge;
-  for (const int idx : candidates) {
-    const auto i = static_cast<std::size_t>(idx);
-    if (!bank.IsValid(i)) continue;
-    const double d = MaybePoisonScore(
-        MatchShapesRaw(input.hu.data(), bank.HuRow(i), method));
-    if (!std::isfinite(d)) continue;
-    if (d < partial.score) {
-      partial.score = d;
-      partial.label = bank.labels[i];
-      partial.found = true;
-    }
-  }
-  return partial;
-}
-
-PartialBest BankColorArgbestOverCandidates(const ImageFeatures& input,
-                                           const FeatureBank& bank,
-                                           const std::vector<int>& candidates,
-                                           HistCompareMethod method) {
-  SNOR_CHECK_EQ(input.histogram.num_bins(), bank.hist_bins);
-  const double* q = input.histogram.bins().data();
-  const bool maximize = IsSimilarityMetric(method);
-  PartialBest partial;
-  partial.score = maximize ? -kHuge : kHuge;
-  for (const int idx : candidates) {
-    const auto i = static_cast<std::size_t>(idx);
-    if (!bank.IsValid(i)) continue;
-    const double c =
-        CompareHistogramsRaw(q, bank.HistRow(i), bank.hist_bins, method);
-    if (!std::isfinite(c)) continue;
-    const bool better = maximize ? c > partial.score : c < partial.score;
-    if (better) {
-      partial.score = c;
-      partial.label = bank.labels[i];
-      partial.found = true;
-    }
-  }
-  return partial;
-}
-
-void BankHybridScoresOverCandidates(
-    const ImageFeatures& input, const FeatureBank& bank,
-    const std::vector<int>& candidates, ShapeMatchMethod shape_method,
-    HistCompareMethod color_method, bool use_shape, bool use_color,
-    std::vector<double>* shape_scores, std::vector<double>* color_scores,
-    std::size_t* shape_usable, std::size_t* color_usable) {
-  if (use_color) SNOR_CHECK_EQ(input.histogram.num_bins(), bank.hist_bins);
-  const double* q_hist = input.histogram.bins().data();
-  for (const int idx : candidates) {
-    const auto i = static_cast<std::size_t>(idx);
-    if (!bank.IsValid(i)) continue;
-    if (use_shape) {
-      const double s = MaybePoisonScore(
-          MatchShapesRaw(input.hu.data(), bank.HuRow(i), shape_method));
-      if (std::isfinite(s) && s < kHuge) {
-        (*shape_scores)[i] = s;
-        ++*shape_usable;
-      }
-    }
-    if (use_color) {
-      const double c = HybridColorDistanceRaw(q_hist, bank.HistRow(i),
-                                              bank.hist_bins, color_method);
-      if (std::isfinite(c)) {
-        (*color_scores)[i] = c;
-        ++*color_usable;
-      }
-    }
-  }
-}
+#define SNOR_INSTANTIATE_BANK_KERNELS(Views)                                  \
+  template PartialBest BankShapeArgmin<Views>(                                \
+      const ImageFeatures&, const FeatureBank&, const Views&,                 \
+      ShapeMatchMethod);                                                      \
+  template PartialBest BankColorArgbest<Views>(                               \
+      const ImageFeatures&, const FeatureBank&, const Views&,                 \
+      HistCompareMethod);                                                     \
+  template void BankHybridScores<Views>(                                      \
+      const ImageFeatures&, const FeatureBank&, const Views&,                 \
+      ShapeMatchMethod, HistCompareMethod, bool, bool, std::vector<double>*,  \
+      std::vector<double>*, std::size_t*, std::size_t*);
+SNOR_INSTANTIATE_BANK_KERNELS(ViewRange)
+SNOR_INSTANTIATE_BANK_KERNELS(ViewList)
+#undef SNOR_INSTANTIATE_BANK_KERNELS
 
 ObjectClass BankHybridArgminLabel(const std::vector<double>& theta,
                                   const FeatureBank& bank,
@@ -378,8 +353,8 @@ FloatDescriptor GalleryViewIndex::ColorEmbedding(const double* bins,
   // Full joint histogram in sqrt space: ||sqrt(a) - sqrt(b)||_2 =
   // sqrt(2) * Hellinger(a, b), so Euclidean ranks over this embedding
   // equal exact Hellinger ranks (up to float rounding). Precomputing the
-  // sqrt once per view is what makes retrieval cheap: a tree visit costs
-  // multiply-adds where the exact kernel pays a sqrt per bin per pair.
+  // sqrt once per view is what makes retrieval cheap: an embedding distance
+  // costs multiply-adds where the exact kernel pays a sqrt per bin per pair.
   FloatDescriptor e(n);
   for (std::size_t i = 0; i < n; ++i) {
     e[i] = std::sqrt(static_cast<float>(std::max(bins[i], 0.0)));
@@ -419,16 +394,8 @@ GalleryViewIndex GalleryViewIndex::Build(const FeatureBank& bank,
     }
   }
 
-  if (!color_points.empty()) {
-    if (options.ann.max_leaf_checks > 0) {
-      index.color_tree_ =
-          AnnIndex::Build(std::move(color_points), std::move(color_ids),
-                          options.candidates, options.ann);
-    } else {
-      index.color_bank_ = PackFloatDescriptors(color_points);
-      index.color_ids_ = std::move(color_ids);
-    }
-  }
+  index.color_bank_ = PackFloatDescriptors(color_points);
+  index.color_ids_ = std::move(color_ids);
   return index;
 }
 
@@ -475,13 +442,11 @@ std::vector<int> GalleryViewIndex::Candidates(const ImageFeatures& query,
     shape_cands = TopRIds(&scored, options_.candidates);
   }
   std::vector<int> color_cands;
-  if (use_color && (color_tree_.has_value() || color_bank_.count > 0)) {
+  if (use_color && color_bank_.count > 0) {
     const FloatDescriptor q_emb =
         ColorEmbedding(query.histogram.bins().data(),
                        query.histogram.bins_per_channel());
-    if (color_tree_.has_value()) {
-      color_cands = color_tree_->Query(q_emb, options_.candidates);
-    } else if (q_emb.size() == color_bank_.dim) {
+    if (q_emb.size() == color_bank_.dim) {
       // Squared L2 ranks identically to L2 and the lane-parallel kernel
       // runs at SIMD throughput; scores are discarded after top-R.
       std::vector<float> dists(color_bank_.count);

@@ -2,40 +2,85 @@
 #define SNOR_CORE_FEATURE_BANK_H_
 
 /// \file
-/// Structure-of-arrays gallery feature banks and their batch distance
-/// kernels, plus the gallery-level ANN view index.
+/// Structure-of-arrays gallery feature banks, the one scoring layer every
+/// gallery matcher runs on, plus the gallery-level ANN view index.
 ///
-/// The cold classifiers walk a `std::vector<ImageFeatures>` — an
-/// array-of-structs where every score computation chases a pointer into a
-/// separately heap-allocated histogram. The bank packs the per-view
-/// matching features (Hu moments, L1-normalized color histograms, labels,
-/// validity) into flat, padded, 64-byte-stride arrays so the per-view inner
-/// loops stream contiguous memory, and the descriptor banks do the same for
-/// float and binarized (BRIEF/ORB) keypoint descriptors.
+/// The bank packs the per-view matching features (Hu moments,
+/// L1-normalized color histograms, labels, validity) into flat, padded,
+/// 64-byte-stride arrays so the per-view inner loops stream contiguous
+/// memory, and the descriptor banks do the same for float and binarized
+/// (BRIEF/ORB) keypoint descriptors.
 ///
-/// Kernel contract — bit identity. Every bank kernel calls the *same*
-/// raw per-pair functions as the cold path (`MatchShapesRaw`,
-/// `CompareHistogramsRaw`, `HybridColorDistanceRaw`, `FloatDistanceRaw`,
-/// word-wise Hamming), scans views in ascending index order with the same
-/// skip rules (invalid view, non-finite score) and the same strict
-/// comparisons, and probes `MaybePoisonScore` at the same per-view points.
-/// The batched result is therefore bit-identical to the scalar
-/// `*OverRange` loops in classifiers.cc by construction; the differential
-/// fuzz tests in tests/core_feature_bank_test.cc enforce it.
+/// One kernel body per decision. Shape argmin, colour argbest and the
+/// hybrid score fill are each written once, templated on the view
+/// sequence they visit: a contiguous `ViewRange` (the cold classifiers'
+/// full scan and the engine's exact-mode shards) or a sorted `ViewList`
+/// (the engine's ANN rerank candidates). The range instantiation is a
+/// plain counted loop with no index indirection. Every kernel calls the
+/// raw per-pair functions (`MatchShapesRaw`, `CompareHistogramsRaw`,
+/// `HybridColorDistanceRaw`), scans views in ascending index order with
+/// the same skip rules (invalid view, non-finite score) and strict
+/// comparisons, and probes `MaybePoisonScore` at the same per-view points,
+/// so a sharded scan merges to exactly the sequential result. The AoS
+/// reference loops in tests/scoring_oracle.h pin this down in the
+/// differential fuzz tests.
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
+#include <limits>
+#include <ranges>
+#include <span>
 #include <vector>
 
-#include "core/classifiers.h"
 #include "core/feature_cache.h"
-#include "features/ann.h"
+#include "features/histogram.h"
 #include "features/keypoint.h"
 #include "features/matcher.h"
+#include "geometry/moments.h"
 #include "util/thread_annotations.h"
 
 namespace snor {
+
+/// \brief Argmin aggregation strategies for the hybrid pipeline (§3.2).
+enum class HybridStrategy {
+  /// argmin over every individual view score (the paper's Theta_T).
+  kWeightedSum,
+  /// argmin over per-model score averages (micro-average, Theta_Z).
+  kMicroAverage,
+  /// argmin over per-class score averages (macro-average, Theta_C).
+  kMacroAverage,
+};
+
+/// Sentinel marking a per-view score as unusable (poisoned, invalid view,
+/// or collapsed modality). Argmin reductions never select it.
+inline constexpr double kUnusableScore = std::numeric_limits<double>::max();
+
+/// \brief Partial arg-optimum of one view set: the strictly best usable
+/// view score seen while scanning the set in ascending index order.
+/// Merging partials of contiguous ascending ranges with the same strict
+/// comparison reproduces the sequential scan bit-for-bit, which is what
+/// lets the sharded BatchEngine return cold-path-identical labels.
+struct PartialBest {
+  double score = 0.0;
+  ObjectClass label = ObjectClass::kChair;
+  /// False when no view in the set produced a usable score.
+  bool found = false;
+};
+
+/// Colour comparison of two bin arrays of length `n` as a "smaller is
+/// better" score the way the paper uses it in theta: distances pass
+/// through, similarities are inverted.
+[[nodiscard]] double HybridColorDistanceRaw(const double* a, const double* b,
+                                            std::size_t n,
+                                            HistCompareMethod method);
+
+/// Combines per-view modality scores into theta: alpha*S + beta*C when
+/// both modalities are live, the surviving modality alone otherwise.
+/// Entries stay kUnusableScore when a required score is unusable.
+[[nodiscard]] std::vector<double> AssembleHybridTheta(
+    const std::vector<double>& shape_scores,
+    const std::vector<double>& color_scores, double alpha, double beta,
+    bool shape_live, bool color_live);
 
 /// \brief SoA bank of the per-view matching features of one gallery.
 ///
@@ -88,50 +133,50 @@ struct SNOR_OWNS_VIEWS FeatureBank {
 [[nodiscard]] std::vector<ImageFeatures> UnpackFeatureBank(
     const FeatureBank& bank);
 
-/// Bank equivalent of ShapeArgminOverRange: shape-only partial argmin over
-/// bank views [begin, end), bit-identical to the cold loop.
-[[nodiscard]] PartialBest BankShapeArgminOverRange(const ImageFeatures& input,
-                                                   const FeatureBank& bank,
-                                                   std::size_t begin,
-                                                   std::size_t end,
-                                                   ShapeMatchMethod method);
+/// Contiguous bank views [begin, end): the exact-mode view set (the whole
+/// bank, or one engine shard). Iterating it is a plain counted loop.
+using ViewRange = std::ranges::iota_view<std::size_t, std::size_t>;
 
-/// Bank equivalent of ColorArgbestOverRange.
-[[nodiscard]] PartialBest BankColorArgbestOverRange(const ImageFeatures& input,
-                                                    const FeatureBank& bank,
-                                                    std::size_t begin,
-                                                    std::size_t end,
-                                                    HistCompareMethod method);
+/// Sorted ascending bank view indices: the ANN-mode view set (one query's
+/// rerank candidates). Ascending order makes the first-strict-optimum
+/// tie-break visit views as a full scan restricted to the subset would.
+using ViewList = std::span<const int>;
 
-/// Bank equivalent of ComputeHybridScoresOverRange; identical output and
-/// usable counts for the same range.
-void BankHybridScoresOverRange(
-    const ImageFeatures& input, const FeatureBank& bank, std::size_t begin,
-    std::size_t end, ShapeMatchMethod shape_method,
-    HistCompareMethod color_method, bool use_shape, bool use_color,
-    std::vector<double>* shape_scores, std::vector<double>* color_scores,
-    std::size_t* shape_usable, std::size_t* color_usable);
+// The three scoring kernels. `Views` is ViewRange or ViewList (both are
+// explicitly instantiated in feature_bank.cc).
 
-/// Candidate-subset variants of the kernels above, used by the ANN
-/// exact-rerank path: identical per-view arithmetic and skip rules, but
-/// only the listed view indices are scored. `candidates` must be sorted
-/// ascending so the first-strict-optimum tie-break visits views in the
-/// same order as a full scan restricted to that subset.
-[[nodiscard]] PartialBest BankShapeArgminOverCandidates(
-    const ImageFeatures& input, const FeatureBank& bank,
-    const std::vector<int>& candidates, ShapeMatchMethod method);
-[[nodiscard]] PartialBest BankColorArgbestOverCandidates(
-    const ImageFeatures& input, const FeatureBank& bank,
-    const std::vector<int>& candidates, HistCompareMethod method);
-void BankHybridScoresOverCandidates(
-    const ImageFeatures& input, const FeatureBank& bank,
-    const std::vector<int>& candidates, ShapeMatchMethod shape_method,
-    HistCompareMethod color_method, bool use_shape, bool use_color,
-    std::vector<double>* shape_scores, std::vector<double>* color_scores,
-    std::size_t* shape_usable, std::size_t* color_usable);
+/// Shape-only partial argmin over `views`: skips invalid views and
+/// non-finite (poisoned) scores, keeps the first strict minimum.
+template <typename Views>
+[[nodiscard]] PartialBest BankShapeArgmin(const ImageFeatures& input,
+                                          const FeatureBank& bank,
+                                          const Views& views,
+                                          ShapeMatchMethod method);
 
-/// HybridArgminLabel over bank labels/model ids (identical to the gallery
-/// overload since pack preserves both).
+/// Colour-only partial arg-optimum over `views`: maximises similarity
+/// metrics, minimises distance metrics, skipping invalid views and
+/// non-finite scores.
+template <typename Views>
+[[nodiscard]] PartialBest BankColorArgbest(const ImageFeatures& input,
+                                           const FeatureBank& bank,
+                                           const Views& views,
+                                           HistCompareMethod method);
+
+/// Hybrid score fill: writes `shape_scores`/`color_scores` (pre-sized to
+/// the bank, filled with kUnusableScore) at every usable view of `views`
+/// and counts the usable scores of each requested modality.
+template <typename Views>
+void BankHybridScores(const ImageFeatures& input, const FeatureBank& bank,
+                      const Views& views, ShapeMatchMethod shape_method,
+                      HistCompareMethod color_method, bool use_shape,
+                      bool use_color, std::vector<double>* shape_scores,
+                      std::vector<double>* color_scores,
+                      std::size_t* shape_usable, std::size_t* color_usable);
+
+/// The three argmin strategies of §3.2 over a per-view theta vector
+/// (index-aligned with the bank); `fallback` wins when no view is usable.
+/// The only hybrid label reduction: the cold HybridClassifier and the
+/// BatchEngine both call it.
 [[nodiscard]] ObjectClass BankHybridArgminLabel(
     const std::vector<double>& theta, const FeatureBank& bank,
     HybridStrategy strategy, ObjectClass fallback);
@@ -206,8 +251,6 @@ struct GalleryIndexOptions {
   /// Shape metric used by the exact shape prefilter (the engine passes
   /// its approach's method so prefilter ranks equal rerank ranks).
   ShapeMatchMethod shape_method = ShapeMatchMethod::kI3;
-  /// Passed through to the color AnnIndex.
-  AnnOptions ann;
 };
 
 /// \brief Candidate retrieval over gallery views for the ANN match mode,
@@ -223,14 +266,11 @@ struct GalleryIndexOptions {
 ///    e_i = sqrt(bin_i). Hellinger distance is exactly (1/sqrt(2)) * L2
 ///    in sqrt space, so embedding ranks equal exact Hellinger ranks (up
 ///    to float rounding) while each embedding distance costs plain
-///    multiply-adds instead of the exact kernel's per-pair sqrt. By
-///    default the embeddings live in a flat SoA FloatDescriptorBank
-///    scanned by the vectorized batch kernel — measured faster than any
-///    k-d traversal at histogram dimensionality, where bounded-leaf-check
-///    trees also collapse to near-random candidates. Setting
-///    `GalleryIndexOptions::ann.max_leaf_checks > 0` opts into a k-d tree
-///    (AnnIndex) with that budget instead: sub-scan retrieval at bounded
-///    recall.
+///    multiply-adds instead of the exact kernel's per-pair sqrt. The
+///    embeddings live in a flat SoA FloatDescriptorBank scanned by the
+///    vectorized batch kernel — measured faster than any k-d traversal at
+///    histogram dimensionality, where bounded-leaf-check trees also
+///    collapse to near-random candidates.
 ///
 /// The index only *proposes* candidate view indices; callers rerank them
 /// with the exact bank kernels, so `--match-mode=ann` accuracy degrades
@@ -261,11 +301,9 @@ class GalleryViewIndex {
   std::vector<LogHuMap> shape_maps_;
   std::vector<int> shape_ids_;
   /// Sqrt-space color embeddings: flat SoA bank scanned by the batch
-  /// float kernel (default), or a k-d tree when an explicit leaf-check
-  /// budget opts into bounded-recall sub-scan retrieval.
+  /// float kernel.
   FloatDescriptorBank color_bank_;
   std::vector<int> color_ids_;
-  std::optional<AnnIndex> color_tree_;
 };
 
 }  // namespace snor

@@ -24,7 +24,7 @@ const char* MatchModeName(MatchMode mode) {
 }
 
 Result<std::unique_ptr<BatchEngine>> BatchEngine::Create(
-    const ApproachSpec& spec, std::vector<ImageFeatures> gallery,
+    const ApproachSpec& spec, const std::vector<ImageFeatures>& gallery,
     const BatchEngineOptions& options, std::uint64_t baseline_seed) {
   if (gallery.empty()) {
     return Status::InvalidArgument("cannot shard " + spec.DisplayName() +
@@ -42,19 +42,23 @@ Result<std::unique_ptr<BatchEngine>> BatchEngine::Create(
   }
   // NOLINTNEXTLINE(raw-new-delete): private ctor, immediately owned.
   return std::unique_ptr<BatchEngine>(new BatchEngine(
-      spec, std::move(gallery), options, baseline_seed));
+      spec, gallery, options, baseline_seed));
 }
 
 BatchEngine::BatchEngine(const ApproachSpec& spec,
-                         std::vector<ImageFeatures> gallery,
+                         const std::vector<ImageFeatures>& gallery,
                          const BatchEngineOptions& options,
                          std::uint64_t baseline_seed)
-    : spec_(spec), gallery_(std::move(gallery)), options_(options) {
+    : spec_(spec),
+      // Mirrors MatchingClassifier::FallbackLabel (Create rejects an
+      // empty gallery).
+      fallback_label_(gallery.front().label),
+      options_(options) {
   int shards = options.num_shards > 0 ? options.num_shards
                                       : DefaultThreadCount();
   shards = std::max(1, std::min<int>(shards,
-                                     static_cast<int>(gallery_.size())));
-  const std::size_t n = gallery_.size();
+                                     static_cast<int>(gallery.size())));
+  const std::size_t n = gallery.size();
   const std::size_t per_shard = n / static_cast<std::size_t>(shards);
   const std::size_t remainder = n % static_cast<std::size_t>(shards);
   std::size_t begin = 0;
@@ -72,11 +76,11 @@ BatchEngine::BatchEngine(const ApproachSpec& spec,
       .gauge("serve.engine.match_mode")
       .Set(options_.match_mode == MatchMode::kAnn ? 1.0 : 0.0);
   if (spec_.kind == ApproachSpec::Kind::kBaseline) {
-    baseline_ = std::make_unique<RandomBaselineClassifier>(gallery_,
+    baseline_ = std::make_unique<RandomBaselineClassifier>(gallery,
                                                            baseline_seed);
-    return;  // The baseline never scores views; no bank or index needed.
+    return;  // The baseline never scores views; no engine bank or index.
   }
-  bank_ = PackFeatureBank(gallery_);
+  bank_ = PackFeatureBank(gallery);
   if (options_.match_mode == MatchMode::kAnn) {
     // The prefilter must rank with the approach's own shape metric so
     // its top-R equals the exact scan's top-R.
@@ -86,20 +90,28 @@ BatchEngine::BatchEngine(const ApproachSpec& spec,
   }
 }
 
-ObjectClass BatchEngine::FallbackLabel() const {
-  // Mirrors MatchingClassifier::FallbackLabel (gallery is never empty
-  // here; Create rejects that).
-  return gallery_.front().label;
-}
-
 std::vector<ObjectClass> BatchEngine::ClassifyBatch(
     const std::vector<const ImageFeatures*>& queries) {
-  return ClassifyBatch(queries, {});
+  return Classify(queries, {}, /*color_only=*/false);
 }
 
 std::vector<ObjectClass> BatchEngine::ClassifyBatch(
     const std::vector<const ImageFeatures*>& queries,
     const std::vector<obs::TraceContext>& contexts) {
+  return Classify(queries, contexts, /*color_only=*/false);
+}
+
+std::vector<ObjectClass> BatchEngine::ClassifyColorOnly(
+    const std::vector<const ImageFeatures*>& queries,
+    const std::vector<obs::TraceContext>& contexts) {
+  SNOR_CHECK_MSG(baseline_ == nullptr,
+                 "the random baseline has no colour-only fallback");
+  return Classify(queries, contexts, /*color_only=*/true);
+}
+
+std::vector<ObjectClass> BatchEngine::Classify(
+    const std::vector<const ImageFeatures*>& queries,
+    const std::vector<obs::TraceContext>& contexts, bool color_only) {
   SNOR_TRACE_SPAN("serve.engine.batch");
   const obs::TraceContext* context_array =
       contexts.size() == queries.size() && !contexts.empty() ? contexts.data()
@@ -116,6 +128,12 @@ std::vector<ObjectClass> BatchEngine::ClassifyBatch(
   query_count.Increment(queries.size());
   if (queries.empty()) return {};
 
+  if (color_only) {
+    // The fallback's degradations must not feed the primary path's
+    // stats (the service's breaker reads them).
+    DegradationStats unused;
+    return ClassifyArgmin(queries, context_array, /*shape=*/false, &unused);
+  }
   if (baseline_ != nullptr) {
     // One RNG draw per query, in query order: the draw sequence (and so
     // every prediction) matches the cold classifier exactly.
@@ -127,24 +145,59 @@ std::vector<ObjectClass> BatchEngine::ClassifyBatch(
     degradation_ = baseline_->degradation();
     return predictions;
   }
-  if (options_.match_mode == MatchMode::kAnn && index_.has_value()) {
-    if (spec_.kind == ApproachSpec::Kind::kHybrid) {
-      return ClassifyHybridAnn(queries, context_array);
-    }
-    return ClassifyPartialArgminAnn(queries, context_array);
-  }
   if (spec_.kind == ApproachSpec::Kind::kHybrid) {
     return ClassifyHybrid(queries, context_array);
   }
-  return ClassifyPartialArgmin(queries, context_array);
+  return ClassifyArgmin(queries, context_array,
+                        spec_.kind == ApproachSpec::Kind::kShape,
+                        &degradation_);
 }
 
-std::vector<ObjectClass> BatchEngine::ClassifyPartialArgmin(
+std::size_t BatchEngine::TasksPerQuery() const {
+  return index_.has_value() ? 1 : shards_.size();
+}
+
+template <typename Scan>
+void BatchEngine::ScanTask(const ImageFeatures& query,
+                           const obs::TraceContext* context, std::size_t task,
+                           bool use_shape, bool use_color, char* full_scan,
+                           Scan&& scan) const {
+  // Scope the scan span to the query's request chain (no-op when the
+  // batch carries no contexts).
+  std::optional<obs::ScopedTraceContext> scope;
+  if (context != nullptr) scope.emplace(*context);
+  if (!index_.has_value()) {
+    SNOR_TRACE_SPAN("serve.engine.shard_scan");
+    scan(ViewRange(shards_[task].begin, shards_[task].end));
+    return;
+  }
+  SNOR_TRACE_SPAN("serve.engine.ann_rerank");
+  const std::vector<int> cands =
+      index_->Candidates(query, use_shape, use_color);
+  if (cands.empty()) {
+    // No usable modality embedding: degrade to a full exact scan rather
+    // than answering from nothing.
+    *full_scan = 1;
+    scan(ViewRange(0, bank_.size()));
+    return;
+  }
+  scan(ViewList(cands));
+}
+
+void BatchEngine::CountFullScans(const std::vector<char>& full_scan) {
+  static obs::Counter& full_scan_counter =
+      obs::MetricsRegistry::Global().counter("serve.engine.ann_full_scans");
+  const auto scans = static_cast<std::uint64_t>(
+      std::count(full_scan.begin(), full_scan.end(), 1));
+  ann_full_scans_ += scans;
+  full_scan_counter.Increment(scans);
+}
+
+std::vector<ObjectClass> BatchEngine::ClassifyArgmin(
     const std::vector<const ImageFeatures*>& queries,
-    const obs::TraceContext* contexts) {
+    const obs::TraceContext* contexts, bool shape, DegradationStats* stats) {
   const std::size_t nq = queries.size();
-  const std::size_t ns = shards_.size();
-  const bool shape = spec_.kind == ApproachSpec::Kind::kShape;
+  const std::size_t nt = TasksPerQuery();
   const bool maximize = !shape && IsSimilarityMetric(spec_.color);
 
   std::vector<char> usable(nq);
@@ -153,51 +206,47 @@ std::vector<ObjectClass> BatchEngine::ClassifyPartialArgmin(
                       : queries[q]->valid;
   }
 
-  // One partial arg-optimum per (query, shard) cell, filled by the
+  // One partial arg-optimum per (query, task) cell, filled by the
   // parallel task grid; every worker writes only its own cell.
-  std::vector<PartialBest> partials(nq * ns);  // GUARDED_BY(per_worker_slot)
+  std::vector<PartialBest> partials(nq * nt);  // GUARDED_BY(per_worker_slot)
+  std::vector<char> full_scan(nq * nt, 0);     // GUARDED_BY(per_worker_slot)
   ParallelFor(
-      nq * ns,
+      nq * nt,
       [&](std::size_t task) {
-        const std::size_t q = task / ns;
+        const std::size_t q = task / nt;
         if (!usable[q]) return;
-        // Scope the scan span to the query's request chain (no-op when
-        // the batch carries no contexts).
-        std::optional<obs::ScopedTraceContext> scope;
-        if (contexts != nullptr) scope.emplace(contexts[q]);
-        SNOR_TRACE_SPAN("serve.engine.shard_scan");
-        const Shard& shard = shards_[task % ns];
-        // Bank kernels: same per-pair functions and skip rules as the
-        // cold *OverRange loops, streaming the SoA rows instead of
-        // chasing AoS pointers.
-        partials[task] =
-            shape ? BankShapeArgminOverRange(*queries[q], bank_, shard.begin,
-                                             shard.end, spec_.shape)
-                  : BankColorArgbestOverRange(*queries[q], bank_, shard.begin,
-                                              shard.end, spec_.color);
+        const ImageFeatures& query = *queries[q];
+        ScanTask(query, contexts != nullptr ? &contexts[q] : nullptr,
+                 task % nt, shape, !shape, &full_scan[task],
+                 [&](const auto& views) {
+                   partials[task] =
+                       shape ? BankShapeArgmin(query, bank_, views,
+                                               spec_.shape)
+                             : BankColorArgbest(query, bank_, views,
+                                                spec_.color);
+                 });
       },
       options_.n_threads);
+  CountFullScans(full_scan);
 
-  // Sequential merge in ascending shard order: strict comparison keeps
+  // Sequential merge in ascending task order: strict comparison keeps
   // the lowest-index optimum, exactly like the cold sequential scan.
-  std::vector<ObjectClass> predictions(nq, FallbackLabel());
+  std::vector<ObjectClass> predictions(nq, fallback_label_);
   for (std::size_t q = 0; q < nq; ++q) {
     if (!usable[q]) {
-      ++degradation_.fallback;
+      ++stats->fallback;
       continue;
     }
     double best = maximize ? -kUnusableScore : kUnusableScore;
-    ObjectClass best_label = FallbackLabel();
-    for (std::size_t s = 0; s < ns; ++s) {
-      const PartialBest& p = partials[q * ns + s];
+    for (std::size_t t = 0; t < nt; ++t) {
+      const PartialBest& p = partials[q * nt + t];
       if (!p.found) continue;
       const bool better = maximize ? p.score > best : p.score < best;
       if (better) {
         best = p.score;
-        best_label = p.label;
+        predictions[q] = p.label;
       }
     }
-    predictions[q] = best_label;
   }
   return predictions;
 }
@@ -206,8 +255,8 @@ std::vector<ObjectClass> BatchEngine::ClassifyHybrid(
     const std::vector<const ImageFeatures*>& queries,
     const obs::TraceContext* contexts) {
   const std::size_t nq = queries.size();
-  const std::size_t ns = shards_.size();
-  const std::size_t n = gallery_.size();
+  const std::size_t nt = TasksPerQuery();
+  const std::size_t n = bank_.size();
 
   std::vector<char> use_shape(nq);
   std::vector<char> use_color(nq);
@@ -222,28 +271,31 @@ std::vector<ObjectClass> BatchEngine::ClassifyHybrid(
     }
   }
 
-  // Per-(query, shard) usable-score counts; summed per query after the
+  // Per-(query, task) usable-score counts; summed per query after the
   // barrier to decide modality collapse exactly like ScoresForModes.
-  std::vector<std::pair<std::size_t, std::size_t>> counts(nq * ns,  // GUARDED_BY(per_worker_slot)
+  std::vector<std::pair<std::size_t, std::size_t>> counts(nq * nt,  // GUARDED_BY(per_worker_slot)
                                                           {0, 0});
+  std::vector<char> full_scan(nq * nt, 0);  // GUARDED_BY(per_worker_slot)
   ParallelFor(
-      nq * ns,
+      nq * nt,
       [&](std::size_t task) {
-        const std::size_t q = task / ns;
+        const std::size_t q = task / nt;
         if (!use_shape[q] && !use_color[q]) return;
-        std::optional<obs::ScopedTraceContext> scope;
-        if (contexts != nullptr) scope.emplace(contexts[q]);
-        SNOR_TRACE_SPAN("serve.engine.shard_scan");
-        const Shard& shard = shards_[task % ns];
-        BankHybridScoresOverRange(
-            *queries[q], bank_, shard.begin, shard.end, spec_.shape,
-            spec_.color, use_shape[q] != 0, use_color[q] != 0,
-            &shape_rows[q], &color_rows[q], &counts[task].first,
-            &counts[task].second);
+        const ImageFeatures& query = *queries[q];
+        ScanTask(query, contexts != nullptr ? &contexts[q] : nullptr,
+                 task % nt, use_shape[q] != 0, use_color[q] != 0,
+                 &full_scan[task], [&](const auto& views) {
+                   BankHybridScores(query, bank_, views, spec_.shape,
+                                    spec_.color, use_shape[q] != 0,
+                                    use_color[q] != 0, &shape_rows[q],
+                                    &color_rows[q], &counts[task].first,
+                                    &counts[task].second);
+                 });
       },
       options_.n_threads);
+  CountFullScans(full_scan);
 
-  std::vector<ObjectClass> predictions(nq, FallbackLabel());
+  std::vector<ObjectClass> predictions(nq, fallback_label_);
   for (std::size_t q = 0; q < nq; ++q) {
     if (!use_shape[q] && !use_color[q]) {
       ++degradation_.fallback;
@@ -251,9 +303,9 @@ std::vector<ObjectClass> BatchEngine::ClassifyHybrid(
     }
     std::size_t shape_usable = 0;
     std::size_t color_usable = 0;
-    for (std::size_t s = 0; s < ns; ++s) {
-      shape_usable += counts[q * ns + s].first;
-      color_usable += counts[q * ns + s].second;
+    for (std::size_t t = 0; t < nt; ++t) {
+      shape_usable += counts[q * nt + t].first;
+      color_usable += counts[q * nt + t].second;
     }
     const bool shape_live = use_shape[q] != 0 && shape_usable > 0;
     const bool color_live = use_color[q] != 0 && color_usable > 0;
@@ -272,152 +324,9 @@ std::vector<ObjectClass> BatchEngine::ClassifyHybrid(
         AssembleHybridTheta(shape_rows[q], color_rows[q], spec_.alpha,
                             spec_.beta, shape_live, color_live);
     predictions[q] =
-        BankHybridArgminLabel(theta, bank_, spec_.strategy, FallbackLabel());
+        BankHybridArgminLabel(theta, bank_, spec_.strategy, fallback_label_);
   }
   return predictions;
-}
-
-std::vector<ObjectClass> BatchEngine::ClassifyPartialArgminAnn(
-    const std::vector<const ImageFeatures*>& queries,
-    const obs::TraceContext* contexts) {
-  const std::size_t nq = queries.size();
-  const bool shape = spec_.kind == ApproachSpec::Kind::kShape;
-
-  std::vector<char> usable(nq);
-  for (std::size_t q = 0; q < nq; ++q) {
-    usable[q] = shape ? ShapeModalityUsable(*queries[q])
-                      : queries[q]->valid;
-  }
-
-  // One task per query: candidate retrieval is sub-linear, so sharding
-  // the tiny rerank scan would cost more than it saves.
-  std::vector<PartialBest> bests(nq);  // GUARDED_BY(per_worker_slot)
-  std::vector<char> full_scan(nq, 0);  // GUARDED_BY(per_worker_slot)
-  ParallelFor(
-      nq,
-      [&](std::size_t q) {
-        if (!usable[q]) return;
-        std::optional<obs::ScopedTraceContext> scope;
-        if (contexts != nullptr) scope.emplace(contexts[q]);
-        SNOR_TRACE_SPAN("serve.engine.ann_rerank");
-        const std::vector<int> cands =
-            index_->Candidates(*queries[q], shape, !shape);
-        if (cands.empty()) {
-          // No usable modality embedding: degrade to a full exact scan
-          // rather than answering from nothing.
-          full_scan[q] = 1;
-          bests[q] = shape
-                         ? BankShapeArgminOverRange(*queries[q], bank_, 0,
-                                                    bank_.size(), spec_.shape)
-                         : BankColorArgbestOverRange(*queries[q], bank_, 0,
-                                                     bank_.size(), spec_.color);
-          return;
-        }
-        bests[q] = shape ? BankShapeArgminOverCandidates(*queries[q], bank_,
-                                                         cands, spec_.shape)
-                         : BankColorArgbestOverCandidates(*queries[q], bank_,
-                                                          cands, spec_.color);
-      },
-      options_.n_threads);
-
-  static obs::Counter& full_scan_counter =
-      obs::MetricsRegistry::Global().counter("serve.engine.ann_full_scans");
-  std::vector<ObjectClass> predictions(nq, FallbackLabel());
-  for (std::size_t q = 0; q < nq; ++q) {
-    if (!usable[q]) {
-      ++degradation_.fallback;
-      continue;
-    }
-    if (full_scan[q] != 0) {
-      ++ann_full_scans_;
-      full_scan_counter.Increment();
-    }
-    const PartialBest& p = bests[q];
-    if (p.found) predictions[q] = p.label;
-  }
-  return predictions;
-}
-
-std::vector<ObjectClass> BatchEngine::ClassifyHybridAnn(
-    const std::vector<const ImageFeatures*>& queries,
-    const obs::TraceContext* contexts) {
-  const std::size_t nq = queries.size();
-  const std::size_t n = bank_.size();
-
-  std::vector<char> use_shape(nq);
-  std::vector<char> use_color(nq);
-  for (std::size_t q = 0; q < nq; ++q) {
-    use_shape[q] = ShapeModalityUsable(*queries[q]);
-    use_color[q] = ColorModalityUsable(*queries[q]);
-  }
-
-  std::vector<ObjectClass> labels(nq, FallbackLabel());  // GUARDED_BY(per_worker_slot)
-  // Per-query degradation verdict resolved inside the task, applied to
-  // the shared counters sequentially after the barrier.
-  enum : char { kNone, kFallback, kShapeOnly, kColorOnly };
-  std::vector<char> verdicts(nq, kNone);  // GUARDED_BY(per_worker_slot)
-  std::vector<char> full_scan(nq, 0);     // GUARDED_BY(per_worker_slot)
-  ParallelFor(
-      nq,
-      [&](std::size_t q) {
-        if (!use_shape[q] && !use_color[q]) {
-          verdicts[q] = kFallback;
-          return;
-        }
-        std::optional<obs::ScopedTraceContext> scope;
-        if (contexts != nullptr) scope.emplace(contexts[q]);
-        SNOR_TRACE_SPAN("serve.engine.ann_rerank");
-        const std::vector<int> cands = index_->Candidates(
-            *queries[q], use_shape[q] != 0, use_color[q] != 0);
-        std::vector<double> shape_row(n, kUnusableScore);
-        std::vector<double> color_row(n, kUnusableScore);
-        std::size_t shape_usable = 0;
-        std::size_t color_usable = 0;
-        if (cands.empty()) {
-          full_scan[q] = 1;
-          BankHybridScoresOverRange(*queries[q], bank_, 0, n, spec_.shape,
-                                    spec_.color, use_shape[q] != 0,
-                                    use_color[q] != 0, &shape_row, &color_row,
-                                    &shape_usable, &color_usable);
-        } else {
-          BankHybridScoresOverCandidates(
-              *queries[q], bank_, cands, spec_.shape, spec_.color,
-              use_shape[q] != 0, use_color[q] != 0, &shape_row, &color_row,
-              &shape_usable, &color_usable);
-        }
-        const bool shape_live = use_shape[q] != 0 && shape_usable > 0;
-        const bool color_live = use_color[q] != 0 && color_usable > 0;
-        if (!shape_live && !color_live) {
-          verdicts[q] = kFallback;
-          return;
-        }
-        if (shape_live != color_live) {
-          verdicts[q] = shape_live ? kShapeOnly : kColorOnly;
-        }
-        const std::vector<double> theta =
-            AssembleHybridTheta(shape_row, color_row, spec_.alpha, spec_.beta,
-                                shape_live, color_live);
-        labels[q] =
-            BankHybridArgminLabel(theta, bank_, spec_.strategy,
-                                  FallbackLabel());
-      },
-      options_.n_threads);
-
-  static obs::Counter& full_scan_counter =
-      obs::MetricsRegistry::Global().counter("serve.engine.ann_full_scans");
-  for (std::size_t q = 0; q < nq; ++q) {
-    if (full_scan[q] != 0) {
-      ++ann_full_scans_;
-      full_scan_counter.Increment();
-    }
-    switch (verdicts[q]) {
-      case kFallback: ++degradation_.fallback; break;
-      case kShapeOnly: ++degradation_.shape_only; break;
-      case kColorOnly: ++degradation_.color_only; break;
-      default: break;
-    }
-  }
-  return labels;
 }
 
 Result<EvalReport> RunApproachBatched(const ApproachSpec& spec,

@@ -56,25 +56,31 @@ struct BatchEngineOptions {
   int n_threads = 0;
   /// Exact full-bank scan vs. ANN candidates + exact rerank.
   MatchMode match_mode = MatchMode::kExact;
-  /// ANN index knobs (kAnn only): top-R per modality, leaf-check budget.
+  /// ANN index knobs (kAnn only): top-R candidates per modality.
   GalleryIndexOptions ann;
 };
 
 /// \brief Matches query batches against a sharded in-memory gallery.
 ///
-/// Owns the gallery's SoA banks (OWNS_VIEWS): shard workers borrow bank
-/// rows only inside their ClassifyBatch scan, so a future live gallery
-/// snapshot-swap (ROADMAP item 1) can replace `bank_`/`gallery_` between
-/// batches without ever racing a borrowed row. The snor_analyze borrow
-/// pass flags any row view that crosses a dispatch or generation
-/// boundary.
+/// Holds the gallery only as one SoA bank (OWNS_VIEWS): shard workers
+/// borrow bank rows only inside their ClassifyBatch scan, so a live
+/// gallery snapshot-swap (ROADMAP item 6) can replace `bank_` and
+/// `index_` between batches without ever racing a borrowed row. The
+/// snor_analyze borrow pass flags any row view that crosses a dispatch or
+/// generation boundary.
+///
+/// Every query batch runs one of two paths: an argmin path (shape argmin
+/// or colour argbest, reduced per query over its partials) and a hybrid
+/// path (score fill, then theta and the §3.2 label reduction). In both, a
+/// (query, task) cell scans one view set: a shard range in exact mode,
+/// or the query's ANN candidates in ANN mode.
 class SNOR_OWNS_VIEWS BatchEngine {
  public:
   /// Validating factory, mirroring `MakeClassifier`: fails with
   /// `InvalidArgument` on an empty gallery and `Unavailable` when no
   /// gallery view is valid (non-baseline approaches).
   [[nodiscard]] static Result<std::unique_ptr<BatchEngine>> Create(
-      const ApproachSpec& spec, std::vector<ImageFeatures> gallery,
+      const ApproachSpec& spec, const std::vector<ImageFeatures>& gallery,
       const BatchEngineOptions& options = {},
       std::uint64_t baseline_seed = 2019);
 
@@ -92,12 +98,19 @@ class SNOR_OWNS_VIEWS BatchEngine {
       const std::vector<const ImageFeatures*>& queries,
       const std::vector<obs::TraceContext>& contexts);
 
-  /// How often the engine had to degrade since construction (same
+  /// The single-modality fallback: colour-only argbest with the spec's
+  /// colour metric over the same bank, shards and match mode, i.e. what
+  /// `ColorOnlyClassifier(spec.color)` answers in exact mode. Leaves
+  /// `degradation()` untouched. Not available for the random baseline.
+  [[nodiscard]] std::vector<ObjectClass> ClassifyColorOnly(
+      const std::vector<const ImageFeatures*>& queries,
+      const std::vector<obs::TraceContext>& contexts);
+
+  /// How often ClassifyBatch had to degrade since construction (same
   /// semantics as `MatchingClassifier::degradation`).
   const DegradationStats& degradation() const { return degradation_; }
 
   std::size_t num_shards() const { return shards_.size(); }
-  const std::vector<ImageFeatures>& gallery() const { return gallery_; }
   MatchMode match_mode() const { return options_.match_mode; }
   /// Number of ANN-mode queries that fell back to a full exact scan
   /// because no modality produced candidates.
@@ -110,29 +123,41 @@ class SNOR_OWNS_VIEWS BatchEngine {
     std::size_t end = 0;
   };
 
-  BatchEngine(const ApproachSpec& spec, std::vector<ImageFeatures> gallery,
+  BatchEngine(const ApproachSpec& spec,
+              const std::vector<ImageFeatures>& gallery,
               const BatchEngineOptions& options, std::uint64_t baseline_seed);
 
-  ObjectClass FallbackLabel() const;
-
-  /// `contexts` is nullptr or an array index-aligned with `queries`.
-  std::vector<ObjectClass> ClassifyPartialArgmin(
+  std::vector<ObjectClass> Classify(
       const std::vector<const ImageFeatures*>& queries,
-      const obs::TraceContext* contexts);
+      const std::vector<obs::TraceContext>& contexts, bool color_only);
+
+  /// Scan tasks per query: one per shard in exact mode, one in ANN mode
+  /// (candidate retrieval is sub-linear, so sharding the tiny rerank scan
+  /// would cost more than it saves).
+  std::size_t TasksPerQuery() const;
+
+  /// Runs `scan(views)` for one (query, task) cell under the query's
+  /// trace context (`context` may be null).
+  template <typename Scan>
+  void ScanTask(const ImageFeatures& query, const obs::TraceContext* context,
+                std::size_t task, bool use_shape, bool use_color,
+                char* full_scan, Scan&& scan) const;
+
+  /// Shape argmin (`shape`) or colour argbest, merged per query in
+  /// ascending task order; degradations are counted into `*stats`.
+  std::vector<ObjectClass> ClassifyArgmin(
+      const std::vector<const ImageFeatures*>& queries,
+      const obs::TraceContext* contexts, bool shape, DegradationStats* stats);
   std::vector<ObjectClass> ClassifyHybrid(
       const std::vector<const ImageFeatures*>& queries,
       const obs::TraceContext* contexts);
-  /// ANN mode: candidate retrieval + exact rerank, one task per query.
-  std::vector<ObjectClass> ClassifyPartialArgminAnn(
-      const std::vector<const ImageFeatures*>& queries,
-      const obs::TraceContext* contexts);
-  std::vector<ObjectClass> ClassifyHybridAnn(
-      const std::vector<const ImageFeatures*>& queries,
-      const obs::TraceContext* contexts);
+  /// Adds the ANN full-scan flags of one batch to the counters.
+  void CountFullScans(const std::vector<char>& full_scan);
 
   ApproachSpec spec_;
-  std::vector<ImageFeatures> gallery_;  // GUARDED_BY(caller)
-  /// SoA pack of gallery_; all non-baseline scoring reads bank rows.
+  /// Deterministic fallback label: the first gallery view's label.
+  ObjectClass fallback_label_ = ObjectClass::kChair;
+  /// The packed gallery; all non-baseline scoring reads bank rows.
   FeatureBank bank_;  // GUARDED_BY(caller)
   /// ANN candidate index (kAnn mode, non-baseline approaches only).
   std::optional<GalleryViewIndex> index_;  // GUARDED_BY(caller)

@@ -20,12 +20,20 @@ double MillisBetween(const std::chrono::steady_clock::time_point& from,
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
-/// A spec with no degraded engine cannot trip: pin the breaker closed so
-/// the open state (which would route to a null engine) is unreachable.
+/// Hybrid and shape specs can shed the shape modality: while the breaker
+/// is open they answer colour-only over the same bank. Any other spec has
+/// no degraded path, so its breaker is pinned closed and the open state
+/// is unreachable.
+bool HasDegradedPath(const ApproachSpec& spec,
+                     const CircuitBreakerOptions& options) {
+  return options.enabled && (spec.kind == ApproachSpec::Kind::kHybrid ||
+                             spec.kind == ApproachSpec::Kind::kShape);
+}
+
 CircuitBreakerOptions EffectiveBreakerOptions(
-    const CircuitBreakerOptions& options, bool has_degraded_engine) {
+    const CircuitBreakerOptions& options, bool has_degraded_path) {
   CircuitBreakerOptions adjusted = options;
-  if (!has_degraded_engine) adjusted.enabled = false;
+  if (!has_degraded_path) adjusted.enabled = false;
   return adjusted;
 }
 
@@ -93,41 +101,26 @@ void CircuitBreaker::RecordPrimary(std::uint64_t successes,
 }
 
 Result<std::unique_ptr<RecognitionService>> RecognitionService::Create(
-    const ApproachSpec& spec, std::vector<ImageFeatures> gallery,
+    const ApproachSpec& spec, const std::vector<ImageFeatures>& gallery,
     const ServiceOptions& options) {
-  std::unique_ptr<BatchEngine> degraded;
-  if (options.breaker.enabled &&
-      (spec.kind == ApproachSpec::Kind::kHybrid ||
-       spec.kind == ApproachSpec::Kind::kShape)) {
-    ApproachSpec degraded_spec;
-    degraded_spec.kind = ApproachSpec::Kind::kColor;
-    degraded_spec.color = spec.color;
-    auto single = BatchEngine::Create(degraded_spec, gallery, options.engine,
-                                      options.baseline_seed);
-    // A gallery without a usable colour bank simply has no degradation
-    // path; the breaker is then pinned closed in the constructor.
-    if (single.ok()) degraded = std::move(single).MoveValue();
-  }
   SNOR_ASSIGN_OR_RETURN(
-      std::unique_ptr<BatchEngine> primary,
-      BatchEngine::Create(spec, std::move(gallery), options.engine,
+      std::unique_ptr<BatchEngine> engine,
+      BatchEngine::Create(spec, gallery, options.engine,
                           options.baseline_seed));
   // NOLINTNEXTLINE(raw-new-delete): private ctor, immediately owned.
   return std::unique_ptr<RecognitionService>(new RecognitionService(
-      spec, std::move(primary), std::move(degraded), options));
+      spec, std::move(engine), options));
 }
 
 RecognitionService::RecognitionService(const ApproachSpec& spec,
-                                       std::unique_ptr<BatchEngine> primary,
-                                       std::unique_ptr<BatchEngine> degraded,
+                                       std::unique_ptr<BatchEngine> engine,
                                        const ServiceOptions& options)
     : spec_(spec),
       options_(options),
-      primary_(std::move(primary)),
-      degraded_(std::move(degraded)),
+      engine_(std::move(engine)),
+      has_degraded_path_(HasDegradedPath(spec, options.breaker)),
       queue_(options.queue),
-      breaker_(EffectiveBreakerOptions(options.breaker,
-                                       degraded_ != nullptr)),
+      breaker_(EffectiveBreakerOptions(options.breaker, has_degraded_path_)),
       slo_(options.slo) {
   dispatcher_ = std::thread(&RecognitionService::DispatcherLoop, this);
 }
@@ -359,15 +352,15 @@ void RecognitionService::DispatchBatch(std::vector<QueuedRequest> batch) {
     ready.push_back(request);
   }
 
-  // Stage 3: classify the survivors on the engine the breaker selects.
-  const CircuitBreaker::State state = breaker_.Evaluate();
+  // Stage 3: classify the survivors on the path the breaker selects: the
+  // primary spec, or colour-only over the same bank while open (only a
+  // spec with a degraded path can open).
   const bool degraded_mode =
-      state == CircuitBreaker::State::kOpen && degraded_ != nullptr;
-  BatchEngine* engine = degraded_mode ? degraded_.get() : primary_.get();
+      breaker_.Evaluate() == CircuitBreaker::State::kOpen;
 
   std::vector<ObjectClass> labels;
   Status batch_status = Status::OK();
-  const std::uint64_t degradation_before = engine->degradation().total();
+  const std::uint64_t degradation_before = engine_->degradation().total();
   if (!ready.empty()) {
     SNOR_TRACE_SPAN("serve.service.batch");
     std::vector<const ImageFeatures*> queries;
@@ -379,7 +372,8 @@ void RecognitionService::DispatchBatch(std::vector<QueuedRequest> batch) {
       contexts.push_back(request->trace);
     }
     try {
-      labels = engine->ClassifyBatch(queries, contexts);
+      labels = degraded_mode ? engine_->ClassifyColorOnly(queries, contexts)
+                             : engine_->ClassifyBatch(queries, contexts);
     } catch (const std::exception& e) {
       batch_status = Status::Internal(
           std::string("batch classification failed: ") + e.what());
@@ -387,8 +381,10 @@ void RecognitionService::DispatchBatch(std::vector<QueuedRequest> batch) {
       batch_status = Status::Internal("batch classification failed");
     }
   }
+  // Zero in degraded mode: the colour-only path leaves the primary
+  // path's degradation stats alone.
   const std::uint64_t modality_failures =
-      engine->degradation().total() - degradation_before;
+      engine_->degradation().total() - degradation_before;
 
   // Stage 4: answer. A computed label whose deadline has meanwhile
   // passed is withheld — the service never serves a stale result.
@@ -415,9 +411,9 @@ void RecognitionService::DispatchBatch(std::vector<QueuedRequest> batch) {
     ++classified;
   }
 
-  // Stage 5: breaker bookkeeping (primary path only — the degraded
-  // engine's outcomes must not close the breaker early; only the
-  // half-open probe on the primary can do that).
+  // Stage 5: breaker bookkeeping (primary path only — degraded answers
+  // must not close the breaker early; only the half-open probe on the
+  // primary can do that).
   if (!degraded_mode) {
     std::uint64_t failures = ingest_failures + modality_failures;
     std::uint64_t successes = 0;

@@ -115,7 +115,7 @@ struct ServiceOptions {
 /// rejected (every submitted request answered exactly once).
 struct ServiceStats {
   std::uint64_t submitted = 0;
-  /// Answered with a label (includes degraded-engine answers).
+  /// Answered with a label (includes degraded answers).
   std::uint64_t ok = 0;
   /// Rejected by queue admission control (watermark / hard cap).
   std::uint64_t shed = 0;
@@ -126,7 +126,7 @@ struct ServiceStats {
   std::uint64_t failed = 0;
   /// Rejected because the service was shutting down.
   std::uint64_t rejected = 0;
-  /// Subset of `ok` served by the degraded single-modality engine.
+  /// Subset of `ok` served colour-only while the breaker was open.
   std::uint64_t degraded = 0;
   /// Engine batches dispatched.
   std::uint64_t batches = 0;
@@ -135,7 +135,7 @@ struct ServiceStats {
   int breaker_state = 0;
 };
 
-/// \brief The recognition-as-a-service runtime (ROADMAP item 1).
+/// \brief The recognition-as-a-service runtime.
 ///
 /// Producers call `Submit`/`Classify` from any thread; a single
 /// dispatcher thread coalesces queued requests into shard-parallel
@@ -144,11 +144,11 @@ struct ServiceStats {
 class RecognitionService {
  public:
   /// Validating factory: fails like `BatchEngine::Create` (empty or
-  /// all-invalid gallery). For hybrid/shape specs a colour-only degraded
-  /// engine is also built (best effort) as the circuit breaker's
-  /// fallback path.
+  /// all-invalid gallery). Builds one engine, so the gallery is packed
+  /// into one bank; for hybrid/shape specs the circuit breaker's fallback
+  /// is colour-only matching over that same bank.
   [[nodiscard]] static Result<std::unique_ptr<RecognitionService>> Create(
-      const ApproachSpec& spec, std::vector<ImageFeatures> gallery,
+      const ApproachSpec& spec, const std::vector<ImageFeatures>& gallery,
       const ServiceOptions& options = {});
 
   ~RecognitionService();
@@ -182,8 +182,9 @@ class RecognitionService {
   RequestQueueStats queue_stats() const { return queue_.stats(); }
   const ApproachSpec& spec() const { return spec_; }
   const ServiceOptions& options() const { return options_; }
-  /// Null when the spec has no single-modality degradation path.
-  const BatchEngine* degraded_engine() const { return degraded_.get(); }
+  /// True when the spec has a single-modality degradation path (hybrid
+  /// or shape spec with the breaker enabled).
+  bool has_degraded_path() const { return has_degraded_path_; }
   /// Rolling-window SLO state (availability / latency burn rates).
   obs::SloMonitor::Snapshot slo_snapshot() const { return slo_.snapshot(); }
   /// Seconds since the service was constructed.
@@ -195,8 +196,7 @@ class RecognitionService {
 
  private:
   RecognitionService(const ApproachSpec& spec,
-                     std::unique_ptr<BatchEngine> primary,
-                     std::unique_ptr<BatchEngine> degraded,
+                     std::unique_ptr<BatchEngine> engine,
                      const ServiceOptions& options);
 
   void DispatcherLoop();
@@ -206,8 +206,8 @@ class RecognitionService {
 
   ApproachSpec spec_;
   ServiceOptions options_;
-  std::unique_ptr<BatchEngine> primary_;  // GUARDED_BY(dispatcher)
-  std::unique_ptr<BatchEngine> degraded_;  // GUARDED_BY(dispatcher)
+  std::unique_ptr<BatchEngine> engine_;  // GUARDED_BY(dispatcher)
+  bool has_degraded_path_ = false;
   RequestQueue queue_;
   CircuitBreaker breaker_;  // GUARDED_BY(dispatcher)
 

@@ -9,6 +9,7 @@
 
 #include "core/classifiers.h"
 #include "geometry/moments.h"
+#include "scoring_oracle.h"
 #include "util/rng.h"
 
 namespace snor {
@@ -130,9 +131,26 @@ TEST(FeatureBankPackTest, NormalizeL1ThenPackPreservesBinsExactly) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential fuzz: bank kernels vs the scalar cold loops. Exact equality
-// (scores compared bitwise via ==, labels and flags directly).
+// Differential fuzz: both instantiations of every bank kernel (a ViewRange
+// and the same views as a ViewList) vs the AoS reference oracle. Exact
+// equality (scores compared bitwise via ==, labels and flags directly).
 // ---------------------------------------------------------------------------
+
+// [begin, end) as a sorted candidate list.
+std::vector<int> IdsOf(std::size_t begin, std::size_t end) {
+  std::vector<int> ids;
+  for (std::size_t i = begin; i < end; ++i) ids.push_back(static_cast<int>(i));
+  return ids;
+}
+
+void ExpectSamePartial(const PartialBest& actual, const PartialBest& expected,
+                       const char* what) {
+  EXPECT_EQ(actual.found, expected.found) << what;
+  if (expected.found) {
+    EXPECT_EQ(actual.score, expected.score) << what;
+    EXPECT_EQ(actual.label, expected.label) << what;
+  }
+}
 
 class BankKernelFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -148,14 +166,13 @@ TEST_P(BankKernelFuzzTest, ShapeArgminMatchesScalarLoop) {
            {std::pair<std::size_t, std::size_t>{0, n}, {0, n / 2},
             {n / 2, n}, {3, 3}}) {
         const PartialBest cold =
-            ShapeArgminOverRange(q, gallery, begin, end, method);
-        const PartialBest warm =
-            BankShapeArgminOverRange(q, bank, begin, end, method);
-        EXPECT_EQ(warm.found, cold.found);
-        if (cold.found) {
-          EXPECT_EQ(warm.score, cold.score);
-          EXPECT_EQ(warm.label, cold.label);
-        }
+            oracle::ShapeArgminOverRange(q, gallery, begin, end, method);
+        const std::vector<int> ids = IdsOf(begin, end);
+        ExpectSamePartial(
+            BankShapeArgmin(q, bank, ViewRange(begin, end), method), cold,
+            "range");
+        ExpectSamePartial(BankShapeArgmin(q, bank, ViewList(ids), method),
+                          cold, "list");
       }
     }
   }
@@ -174,14 +191,13 @@ TEST_P(BankKernelFuzzTest, ColorArgbestMatchesScalarLoop) {
            {std::pair<std::size_t, std::size_t>{0, n}, {0, n / 2},
             {n / 2, n}}) {
         const PartialBest cold =
-            ColorArgbestOverRange(q, gallery, begin, end, method);
-        const PartialBest warm =
-            BankColorArgbestOverRange(q, bank, begin, end, method);
-        EXPECT_EQ(warm.found, cold.found);
-        if (cold.found) {
-          EXPECT_EQ(warm.score, cold.score);
-          EXPECT_EQ(warm.label, cold.label);
-        }
+            oracle::ColorArgbestOverRange(q, gallery, begin, end, method);
+        const std::vector<int> ids = IdsOf(begin, end);
+        ExpectSamePartial(
+            BankColorArgbest(q, bank, ViewRange(begin, end), method), cold,
+            "range");
+        ExpectSamePartial(BankColorArgbest(q, bank, ViewList(ids), method),
+                          cold, "list");
       }
     }
   }
@@ -192,27 +208,34 @@ TEST_P(BankKernelFuzzTest, HybridScoresMatchScalarLoop) {
   const auto queries = FuzzGallery(11, GetParam() + 1);
   const FeatureBank bank = PackFeatureBank(gallery);
   const std::size_t n = gallery.size();
+  const std::vector<int> all = IdsOf(0, n);
   for (const auto& q : queries) {
-    for (const bool use_shape : {true, false}) {
-      for (const bool use_color : {true, false}) {
-        std::vector<double> cold_s(n, kUnusableScore);
-        std::vector<double> cold_c(n, kUnusableScore);
-        std::vector<double> warm_s(n, kUnusableScore);
-        std::vector<double> warm_c(n, kUnusableScore);
-        std::size_t cold_su = 0, cold_cu = 0, warm_su = 0, warm_cu = 0;
-        ComputeHybridScoresOverRange(q, gallery, 0, n, ShapeMatchMethod::kI3,
-                                     HistCompareMethod::kHellinger, use_shape,
-                                     use_color, &cold_s, &cold_c, &cold_su,
-                                     &cold_cu);
-        BankHybridScoresOverRange(q, bank, 0, n, ShapeMatchMethod::kI3,
-                                  HistCompareMethod::kHellinger, use_shape,
-                                  use_color, &warm_s, &warm_c, &warm_su,
-                                  &warm_cu);
-        EXPECT_EQ(warm_su, cold_su);
-        EXPECT_EQ(warm_cu, cold_cu);
-        for (std::size_t i = 0; i < n; ++i) {
-          EXPECT_EQ(warm_s[i], cold_s[i]) << "shape score " << i;
-          EXPECT_EQ(warm_c[i], cold_c[i]) << "color score " << i;
+    for (const auto color_method :
+         {HistCompareMethod::kCorrelation, HistCompareMethod::kHellinger}) {
+      for (const bool use_shape : {true, false}) {
+        for (const bool use_color : {true, false}) {
+          std::vector<double> cold_s(n, kUnusableScore);
+          std::vector<double> cold_c(n, kUnusableScore);
+          std::size_t cold_su = 0, cold_cu = 0;
+          oracle::ComputeHybridScoresOverRange(
+              q, gallery, 0, n, ShapeMatchMethod::kI3, color_method,
+              use_shape, use_color, &cold_s, &cold_c, &cold_su, &cold_cu);
+          const auto check = [&](const auto& views, const char* what) {
+            std::vector<double> warm_s(n, kUnusableScore);
+            std::vector<double> warm_c(n, kUnusableScore);
+            std::size_t warm_su = 0, warm_cu = 0;
+            BankHybridScores(q, bank, views, ShapeMatchMethod::kI3,
+                             color_method, use_shape, use_color, &warm_s,
+                             &warm_c, &warm_su, &warm_cu);
+            EXPECT_EQ(warm_su, cold_su) << what;
+            EXPECT_EQ(warm_cu, cold_cu) << what;
+            for (std::size_t i = 0; i < n; ++i) {
+              EXPECT_EQ(warm_s[i], cold_s[i]) << what << " shape score " << i;
+              EXPECT_EQ(warm_c[i], cold_c[i]) << what << " color score " << i;
+            }
+          };
+          check(ViewRange(0, n), "range");
+          check(ViewList(all), "list");
         }
       }
     }
@@ -223,30 +246,46 @@ TEST_P(BankKernelFuzzTest, CandidateSubsetMatchesRestrictedScan) {
   const auto gallery = FuzzGallery(47, GetParam());
   const auto queries = FuzzGallery(5, GetParam() + 1);
   const FeatureBank bank = PackFeatureBank(gallery);
-  // A sorted subset with gaps; the candidate kernels must reproduce a full
-  // scan restricted to exactly these indices.
+  // A sorted subset with gaps; the list instantiation must reproduce a
+  // full scan restricted to exactly these indices.
   const std::vector<int> cands = {0, 1, 5, 8, 13, 21, 34, 40, 46};
   std::vector<ImageFeatures> sub;
   for (int c : cands) sub.push_back(gallery[static_cast<std::size_t>(c)]);
-  const FeatureBank sub_bank = PackFeatureBank(sub);
   for (const auto& q : queries) {
-    const PartialBest warm = BankShapeArgminOverCandidates(
-        q, bank, cands, ShapeMatchMethod::kI2);
-    const PartialBest cold = ShapeArgminOverRange(q, sub, 0, sub.size(),
-                                                  ShapeMatchMethod::kI2);
-    EXPECT_EQ(warm.found, cold.found);
-    if (cold.found) {
-      EXPECT_EQ(warm.score, cold.score);
-      EXPECT_EQ(warm.label, cold.label);
+    ExpectSamePartial(
+        BankShapeArgmin(q, bank, ViewList(cands), ShapeMatchMethod::kI2),
+        oracle::ShapeArgminOverRange(q, sub, 0, sub.size(),
+                                     ShapeMatchMethod::kI2),
+        "shape");
+    ExpectSamePartial(
+        BankColorArgbest(q, bank, ViewList(cands),
+                         HistCompareMethod::kIntersection),
+        oracle::ColorArgbestOverRange(q, sub, 0, sub.size(),
+                                      HistCompareMethod::kIntersection),
+        "color");
+  }
+}
+
+// The bank label reduction reads labels and model ids from the bank; it
+// must agree with the oracle's gallery reduction for every strategy,
+// including thetas with unusable entries and exact ties.
+TEST_P(BankKernelFuzzTest, HybridArgminLabelMatchesScalarLoop) {
+  const auto gallery = FuzzGallery(47, GetParam());
+  const FeatureBank bank = PackFeatureBank(gallery);
+  Rng rng(GetParam() + 2);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<double> theta(gallery.size());
+    for (std::size_t i = 0; i < theta.size(); ++i) {
+      theta[i] = i % 5 == 0 ? kUnusableScore
+                            : static_cast<double>(rng.UniformInt(0, 8));
     }
-    const PartialBest warm_c = BankColorArgbestOverCandidates(
-        q, bank, cands, HistCompareMethod::kIntersection);
-    const PartialBest cold_c = ColorArgbestOverRange(
-        q, sub, 0, sub.size(), HistCompareMethod::kIntersection);
-    EXPECT_EQ(warm_c.found, cold_c.found);
-    if (cold_c.found) {
-      EXPECT_EQ(warm_c.score, cold_c.score);
-      EXPECT_EQ(warm_c.label, cold_c.label);
+    for (const auto strategy :
+         {HybridStrategy::kWeightedSum, HybridStrategy::kMicroAverage,
+          HybridStrategy::kMacroAverage}) {
+      EXPECT_EQ(BankHybridArgminLabel(theta, bank, strategy,
+                                      ObjectClass::kChair),
+                oracle::HybridArgminLabel(theta, gallery, strategy,
+                                          ObjectClass::kChair));
     }
   }
 }
@@ -396,46 +435,17 @@ TEST(GalleryViewIndexTest, FullBudgetContainsExactOptima) {
   const GalleryViewIndex index = GalleryViewIndex::Build(bank, opts);
   for (const auto& q : queries) {
     const auto cands = index.Candidates(q, true, true);
-    const PartialBest shape = ShapeArgminOverRange(q, gallery, 0,
-                                                   gallery.size(),
-                                                   ShapeMatchMethod::kI3);
-    const PartialBest full_shape =
-        BankShapeArgminOverCandidates(q, bank, cands, ShapeMatchMethod::kI3);
-    EXPECT_EQ(full_shape.found, shape.found);
-    if (shape.found) {
-      EXPECT_EQ(full_shape.score, shape.score);
-      EXPECT_EQ(full_shape.label, shape.label);
-    }
-    const PartialBest color = ColorArgbestOverRange(
-        q, gallery, 0, gallery.size(), HistCompareMethod::kHellinger);
-    const PartialBest full_color = BankColorArgbestOverCandidates(
-        q, bank, cands, HistCompareMethod::kHellinger);
-    EXPECT_EQ(full_color.found, color.found);
-    if (color.found) {
-      EXPECT_EQ(full_color.score, color.score);
-      EXPECT_EQ(full_color.label, color.label);
-    }
-  }
-}
-
-TEST(GalleryViewIndexTest, KdTreeOptInReturnsValidCandidates) {
-  const auto gallery = FuzzGallery(80, 41);
-  const auto queries = FuzzGallery(5, 42);
-  const FeatureBank bank = PackFeatureBank(gallery);
-  GalleryIndexOptions opts;
-  opts.candidates = 10;
-  opts.ann.max_leaf_checks = 32;  // Opt into the bounded-recall k-d tree.
-  const GalleryViewIndex index = GalleryViewIndex::Build(bank, opts);
-  for (const auto& q : queries) {
-    const auto cands = index.Candidates(q, true, true);
-    EXPECT_FALSE(cands.empty());
-    for (std::size_t i = 1; i < cands.size(); ++i) {
-      EXPECT_LT(cands[i - 1], cands[i]);
-    }
-    for (int c : cands) {
-      ASSERT_GE(c, 0);
-      ASSERT_LT(c, static_cast<int>(gallery.size()));
-    }
+    ExpectSamePartial(
+        BankShapeArgmin(q, bank, ViewList(cands), ShapeMatchMethod::kI3),
+        oracle::ShapeArgminOverRange(q, gallery, 0, gallery.size(),
+                                     ShapeMatchMethod::kI3),
+        "shape");
+    ExpectSamePartial(
+        BankColorArgbest(q, bank, ViewList(cands),
+                         HistCompareMethod::kHellinger),
+        oracle::ColorArgbestOverRange(q, gallery, 0, gallery.size(),
+                                      HistCompareMethod::kHellinger),
+        "color");
   }
 }
 

@@ -358,7 +358,7 @@ TEST_F(FaultInjectionTest, BothModalitiesPoisonedFallsBackDeterministic) {
                           HybridStrategy::kWeightedSum);
   ImageFeatures dead;  // Invalid, zero-mass histogram.
   const ObjectClass label = hybrid.Classify(dead);
-  EXPECT_EQ(label, hybrid.gallery().front().label);
+  EXPECT_EQ(label, ctx.Sns1Features().front().label);
   EXPECT_EQ(hybrid.degradation().fallback, 1u);
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
+#include "scoring_oracle.h"
 
 namespace snor::serve {
 namespace {
@@ -32,7 +33,10 @@ std::vector<const ImageFeatures*> Pointers(
 }
 
 /// Warm predictions must be bit-identical to the cold classifier for any
-/// shard / thread / batch configuration. Runs every Table-2 approach.
+/// shard / thread / batch configuration, and both must equal the AoS
+/// reference oracle. Exact mode runs the ViewRange instantiation of each
+/// kernel over shards; ANN mode with a whole-gallery candidate budget
+/// runs the ViewList instantiation. Runs every Table-2 approach.
 class BitIdentityTest
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
@@ -49,28 +53,43 @@ TEST_P(BitIdentityTest, EngineMatchesColdClassifier) {
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   const std::vector<ObjectClass> expected =
       cold.value()->ClassifyAll(inputs);
-
-  BatchEngineOptions options;
-  options.num_shards = num_shards;
-  options.n_threads = n_threads;
-  auto engine = BatchEngine::Create(spec, gallery, options,
-                                    ctx.config().seed);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  const std::vector<ObjectClass> actual =
-      engine.value()->ClassifyBatch(Pointers(inputs));
-
-  ASSERT_EQ(actual.size(), expected.size());
-  for (std::size_t i = 0; i < actual.size(); ++i) {
-    EXPECT_EQ(actual[i], expected[i]) << "query " << i << " diverges for "
-                                      << spec.DisplayName();
+  if (spec.kind != ApproachSpec::Kind::kBaseline) {
+    DegradationStats oracle_stats;
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      EXPECT_EQ(expected[i],
+                oracle::Classify(spec, gallery, inputs[i], &oracle_stats))
+          << "cold query " << i << " diverges from the oracle for "
+          << spec.DisplayName();
+    }
+    EXPECT_EQ(oracle_stats.total(), cold.value()->degradation().total());
   }
-  // Degradation accounting must agree too.
-  EXPECT_EQ(engine.value()->degradation().shape_only,
-            cold.value()->degradation().shape_only);
-  EXPECT_EQ(engine.value()->degradation().color_only,
-            cold.value()->degradation().color_only);
-  EXPECT_EQ(engine.value()->degradation().fallback,
-            cold.value()->degradation().fallback);
+
+  for (const MatchMode mode : {MatchMode::kExact, MatchMode::kAnn}) {
+    BatchEngineOptions options;
+    options.num_shards = num_shards;
+    options.n_threads = n_threads;
+    options.match_mode = mode;
+    options.ann.candidates = static_cast<int>(gallery.size());
+    auto engine = BatchEngine::Create(spec, gallery, options,
+                                      ctx.config().seed);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    const std::vector<ObjectClass> actual =
+        engine.value()->ClassifyBatch(Pointers(inputs));
+
+    ASSERT_EQ(actual.size(), expected.size());
+    for (std::size_t i = 0; i < actual.size(); ++i) {
+      EXPECT_EQ(actual[i], expected[i])
+          << MatchModeName(mode) << " query " << i << " diverges for "
+          << spec.DisplayName();
+    }
+    // Degradation accounting must agree too.
+    EXPECT_EQ(engine.value()->degradation().shape_only,
+              cold.value()->degradation().shape_only);
+    EXPECT_EQ(engine.value()->degradation().color_only,
+              cold.value()->degradation().color_only);
+    EXPECT_EQ(engine.value()->degradation().fallback,
+              cold.value()->degradation().fallback);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -141,6 +160,16 @@ TEST(BatchEngineTest, DegradedQueriesFallBackLikeColdPath) {
   EXPECT_EQ(engine.value()->degradation().fallback,
             cold.value()->degradation().fallback);
   EXPECT_GE(engine.value()->degradation().total(), 2u);
+
+  // The colour-only fallback over the same bank answers like the cold
+  // colour classifier (the invalid query falls back there too) and
+  // leaves the primary path's degradation stats alone.
+  const DegradationStats before = engine.value()->degradation();
+  ColorOnlyClassifier color(gallery, spec.color);
+  EXPECT_EQ(engine.value()->ClassifyColorOnly(Pointers(inputs), {}),
+            color.ClassifyAll(inputs));
+  EXPECT_EQ(color.degradation().fallback, 1u);
+  EXPECT_EQ(engine.value()->degradation().total(), before.total());
 }
 
 TEST(RunApproachBatchedTest, ReportMatchesColdRunApproach) {

@@ -7,8 +7,12 @@
 
 #include "serve/service.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <future>
+#include <limits>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -16,6 +20,7 @@
 
 #include "core/classifiers.h"
 #include "core/experiment.h"
+#include "obs/trace.h"
 #include "util/fault.h"
 
 namespace snor::serve {
@@ -173,76 +178,132 @@ TEST(ServeServiceTest, IngestRetryExhaustionAnswersUnavailable) {
   EXPECT_TRUE(healthy.ok()) << healthy.status().ToString();
 }
 
+// Breaker-open answers come from colour-only matching over the primary
+// engine's bank and must be bit-identical to ColorOnlyClassifier with the
+// spec's colour metric. Inputs: a hybrid spec per colour metric, tripped
+// by NaN shape scores (every classification collapses to colour alone),
+// and a shape-only spec, tripped by a query whose Hu moments are NaN
+// (shape unusable, so the primary path answers with the fallback label).
 TEST(ServeServiceTest, BreakerTripsToDegradedAndRecoversViaHalfOpen) {
   auto& ctx = Context();
   const auto& gallery = ctx.Sns1Features();
-  ServiceOptions options;
-  options.breaker.window = 16;
-  options.breaker.min_samples = 8;
-  options.breaker.failure_ratio = 0.5;
-  options.breaker.cooldown_ms = 200.0;
-  auto service = RecognitionService::Create(HybridSpec(), gallery, options);
-  ASSERT_TRUE(service.ok()) << service.status().ToString();
-  ASSERT_NE(service.value()->degraded_engine(), nullptr);
+  const ImageFeatures& healthy = ctx.Sns2Features().front();
+  ImageFeatures no_shape = healthy;
+  no_shape.hu[0] = std::numeric_limits<double>::quiet_NaN();
 
-  // Cold colour-only classifier: the oracle for degraded-mode answers.
-  ApproachSpec color_spec;
-  color_spec.kind = ApproachSpec::Kind::kColor;
-  auto color = MakeClassifier(color_spec, gallery, ctx.config().seed);
-  ASSERT_TRUE(color.ok()) << color.status().ToString();
+  struct BreakerCase {
+    ApproachSpec spec;
+    bool nan_scores;  // Trip with the fault; otherwise with `no_shape`.
+  };
+  std::vector<BreakerCase> cases;
+  for (const HistCompareMethod color :
+       {HistCompareMethod::kCorrelation, HistCompareMethod::kChiSquare,
+        HistCompareMethod::kIntersection, HistCompareMethod::kHellinger}) {
+    ApproachSpec hybrid = HybridSpec();
+    hybrid.color = color;
+    cases.push_back({hybrid, true});
+  }
+  ApproachSpec shape;
+  shape.kind = ApproachSpec::Kind::kShape;
+  shape.shape = ShapeMatchMethod::kI2;
+  shape.color = HistCompareMethod::kChiSquare;
+  cases.push_back({shape, false});
 
-  const ImageFeatures& query = ctx.Sns2Features().front();
-  {
-    // Shape scores all NaN: every hybrid classification collapses to a
-    // single modality, which the breaker counts as a primary-path
-    // failure. After min_samples such batches it must trip open.
-    ScopedFault nan(FaultPoint::kNanScore, 1.0, 41);
-    for (int i = 0; i < 8; ++i) {
-      const Result<ServiceReply> reply = service.value()->Classify(query);
-      ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  for (const BreakerCase& c : cases) {
+    SCOPED_TRACE(c.spec.DisplayName());
+    ServiceOptions options;
+    options.breaker.window = 16;
+    options.breaker.min_samples = 8;
+    options.breaker.failure_ratio = 0.5;
+    options.breaker.cooldown_ms = 200.0;
+    auto service = RecognitionService::Create(c.spec, gallery, options);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    ASSERT_TRUE(service.value()->has_degraded_path());
+
+    // Cold colour-only classifier: the oracle for degraded-mode answers.
+    ColorOnlyClassifier color(gallery, c.spec.color);
+    const ImageFeatures& query = c.nan_scores ? healthy : no_shape;
+    {
+      // Every primary classification degrades, which the breaker counts
+      // as a primary-path failure. After min_samples such batches it
+      // must trip open.
+      std::optional<ScopedFault> nan;
+      if (c.nan_scores) nan.emplace(FaultPoint::kNanScore, 1.0, 41);
+      for (int i = 0; i < 8; ++i) {
+        const Result<ServiceReply> reply = service.value()->Classify(query);
+        ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+      }
+      // The dispatcher replies before its breaker bookkeeping runs, so
+      // stats trail the 8th reply by a scheduling quantum; poll briefly.
+      ServiceStats tripped = service.value()->stats();
+      for (int spin = 0; spin < 400 && tripped.breaker_trips == 0; ++spin) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        tripped = service.value()->stats();
+      }
+      EXPECT_GE(tripped.breaker_trips, 1u);
+      EXPECT_EQ(tripped.breaker_state,
+                static_cast<int>(CircuitBreaker::State::kOpen));
+
+      // Open: answers come from colour-only matching, which is immune to
+      // shape poisoning and must match the cold colour oracle. On a slow
+      // machine the cool-down may already have elapsed, making one call
+      // a half-open probe on the (still faulty) primary path; that probe
+      // re-opens the breaker, so the next call is degraded.
+      bool saw_degraded = false;
+      for (int attempt = 0; attempt < 3 && !saw_degraded; ++attempt) {
+        const Result<ServiceReply> degraded =
+            service.value()->Classify(query);
+        ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
+        if (!degraded.value().degraded) continue;
+        saw_degraded = true;
+        EXPECT_EQ(degraded.value().label, color.Classify(query));
+      }
+      EXPECT_TRUE(saw_degraded);
+      EXPECT_GE(service.value()->stats().degraded, 1u);
     }
-    // The dispatcher replies before its breaker bookkeeping runs, so
-    // stats trail the 8th reply by a scheduling quantum; poll briefly.
-    ServiceStats tripped = service.value()->stats();
-    for (int spin = 0; spin < 400 && tripped.breaker_trips == 0; ++spin) {
+
+    // Fault lifted + cool-down elapsed: the next batch is the half-open
+    // probe on the primary path; its success closes the breaker.
+    std::this_thread::sleep_for(std::chrono::milliseconds(250));
+    const Result<ServiceReply> probe = service.value()->Classify(healthy);
+    ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+    EXPECT_FALSE(probe.value().degraded);
+    int state = service.value()->stats().breaker_state;
+    for (int spin = 0;
+         spin < 400 &&
+         state != static_cast<int>(CircuitBreaker::State::kClosed);
+         ++spin) {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      tripped = service.value()->stats();
+      state = service.value()->stats().breaker_state;
     }
-    EXPECT_GE(tripped.breaker_trips, 1u);
-    EXPECT_EQ(tripped.breaker_state,
-              static_cast<int>(CircuitBreaker::State::kOpen));
-
-    // Open: answers come from the degraded colour-only engine, which is
-    // immune to shape poisoning and must match the cold colour oracle.
-    // On a slow machine the cool-down may already have elapsed, making
-    // one call a half-open probe on the (still faulty) primary path;
-    // that probe re-opens the breaker, so the next call is degraded.
-    bool saw_degraded = false;
-    for (int attempt = 0; attempt < 3 && !saw_degraded; ++attempt) {
-      const Result<ServiceReply> degraded = service.value()->Classify(query);
-      ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
-      if (!degraded.value().degraded) continue;
-      saw_degraded = true;
-      EXPECT_EQ(degraded.value().label, color.value()->Classify(query));
-    }
-    EXPECT_TRUE(saw_degraded);
-    EXPECT_GE(service.value()->stats().degraded, 1u);
+    EXPECT_EQ(state, static_cast<int>(CircuitBreaker::State::kClosed));
   }
+}
 
-  // Fault lifted + cool-down elapsed: the next batch is the half-open
-  // probe on the primary path; its success closes the breaker.
-  std::this_thread::sleep_for(std::chrono::milliseconds(250));
-  const Result<ServiceReply> probe = service.value()->Classify(query);
-  ASSERT_TRUE(probe.ok()) << probe.status().ToString();
-  EXPECT_FALSE(probe.value().degraded);
-  int state = service.value()->stats().breaker_state;
-  for (int spin = 0;
-       spin < 400 && state != static_cast<int>(CircuitBreaker::State::kClosed);
-       ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    state = service.value()->stats().breaker_state;
+// The degraded path reads the primary engine's bank, so a service packs
+// its gallery exactly once, whether or not the spec can degrade.
+TEST(ServeServiceTest, CreatePacksOneBank) {
+  auto& ctx = Context();
+  ApproachSpec shape;
+  shape.kind = ApproachSpec::Kind::kShape;
+  ApproachSpec color;
+  color.kind = ApproachSpec::Kind::kColor;
+  auto& recorder = obs::TraceRecorder::Global();
+  for (const ApproachSpec& spec : {HybridSpec(), shape, color}) {
+    recorder.Reset();
+    recorder.Enable();
+    auto service = RecognitionService::Create(spec, ctx.Sns1Features());
+    recorder.Disable();
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    const std::vector<obs::TraceEvent> events = recorder.Snapshot();
+    const auto packs =
+        std::count_if(events.begin(), events.end(),
+                      [](const obs::TraceEvent& event) {
+                        return std::strcmp(event.name, "core.bank.pack") == 0;
+                      });
+    EXPECT_EQ(packs, 1) << spec.DisplayName();
   }
-  EXPECT_EQ(state, static_cast<int>(CircuitBreaker::State::kClosed));
+  recorder.Reset();
 }
 
 TEST(ServeServiceTest, ShutdownDrainsEveryQueuedRequest) {

@@ -571,8 +571,9 @@ bool IsValidBenchKey(std::string_view name) {
 // Span/metric name vocabulary: the leading segment must name a module of
 // the layers.toml DAG (or `bench` for the table runners) so grepping a
 // metric dump by layer always works. Growing a layer's vocabulary
-// (e.g. `core.bank.*` for the SoA feature banks or `features.ann.*` for
-// the ANN index) needs no lint change; inventing a new first segment does.
+// (e.g. `core.bank.*` for the SoA feature banks or `serve.engine.ann_*`
+// for ANN retrieval) needs no lint change; inventing a new first segment
+// does.
 // `test` is reserved for test-local fixture names.
 constexpr std::array<std::string_view, 12> kObsNameLayers = {
     "bench", "core", "data",      "features", "geometry", "img",

@@ -8,7 +8,8 @@
 #                                    # + snor_lint + snor_analyze (SARIF to
 #                                    # build-check/analyze.sarif; timed
 #                                    # cold+warm incremental runs against
-#                                    # build-check/analyze-cache)
+#                                    # build-check/analyze-cache) + the
+#                                    # smoke gates + perfbench --selfcheck
 #   tools/run_checks.sh --analyze-clean  # drop the analyzer summary cache
 #                                    # first (forces a cold re-scan)
 #   tools/run_checks.sh --asan       # ...plus ASan+UBSan build and test subset
@@ -107,6 +108,15 @@ echo "== match-regression: exact identity + ann recall/speedup bands =="
 # exact inside the bands. Ratios, not absolute times, so the gate is
 # host-independent.
 ctest --test-dir build-check -R MatchRegressionGate --output-on-failure
+
+echo "== perfbench-selfcheck: every benchmark workload, briefly =="
+# Blocking API gate for the repository benchmark (BENCHMARK.json): builds
+# perfbench/ against the current src/ into .bench_build/ and runs every
+# workload on small inputs, traced and untraced, asserting every named
+# metric is present and every label and accounting check passes. A
+# library change that breaks the benchmark fails here, not only when the
+# benchmark itself is run.
+python3 perfbench/run.py --selfcheck
 
 if [[ $run_asan -eq 1 ]]; then
   echo "== asan: AddressSanitizer + UBSan =="
