@@ -103,7 +103,15 @@ void BM_BatchEngineClassify(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(queries.size()));
 }
-BENCHMARK(BM_BatchEngineClassify)->Arg(1)->Arg(4)->Arg(0)->UseRealTime();
+// The first ClassifyBatch of a process runs several times slower than
+// the steady state, and a short --benchmark_min_time would report that
+// one cold iteration; the warm-up keeps it out of the measurement.
+BENCHMARK(BM_BatchEngineClassify)
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(0)
+    ->MinWarmUpTime(0.5)
+    ->UseRealTime();
 
 /// ANN path: candidate retrieval + exact rerank. Reports per-query
 /// `match_s` and `ann_recall` (label agreement with the exact engine on
@@ -143,7 +151,11 @@ void BM_BatchEngineClassifyAnn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(queries.size()));
 }
-BENCHMARK(BM_BatchEngineClassifyAnn)->Arg(16)->Arg(48)->UseRealTime();
+BENCHMARK(BM_BatchEngineClassifyAnn)
+    ->Arg(16)
+    ->Arg(48)
+    ->MinWarmUpTime(0.5)
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace snor::serve

@@ -57,7 +57,12 @@ ObjectClass ShapeOnlyClassifier::Classify(const ImageFeatures& input) {
     return FallbackLabel();
   }
   const PartialBest best = BankShapeArgmin(input, bank(), AllViews(), method_);
-  return best.found ? best.label : FallbackLabel();
+  if (!best.found) {
+    // Every view's score was unusable (e.g. a NaN-score storm).
+    ++degradation_.fallback;
+    return FallbackLabel();
+  }
+  return best.label;
 }
 
 ColorOnlyClassifier::ColorOnlyClassifier(
@@ -71,7 +76,11 @@ ObjectClass ColorOnlyClassifier::Classify(const ImageFeatures& input) {
   }
   const PartialBest best =
       BankColorArgbest(input, bank(), AllViews(), method_);
-  return best.found ? best.label : FallbackLabel();
+  if (!best.found) {
+    ++degradation_.fallback;
+    return FallbackLabel();
+  }
+  return best.label;
 }
 
 HybridClassifier::HybridClassifier(const std::vector<ImageFeatures>& gallery,

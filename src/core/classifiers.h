@@ -20,7 +20,8 @@ struct DegradationStats {
   std::uint64_t shape_only = 0;
   /// Shape modality unusable for the input; matched on colour alone.
   std::uint64_t color_only = 0;
-  /// Neither modality usable; the deterministic fallback label was used.
+  /// Neither modality usable, or no view scored a usable value; the
+  /// deterministic fallback label was used.
   std::uint64_t fallback = 0;
 
   std::uint64_t total() const { return shape_only + color_only + fallback; }

@@ -238,15 +238,20 @@ std::vector<ObjectClass> BatchEngine::ClassifyArgmin(
       continue;
     }
     double best = maximize ? -kUnusableScore : kUnusableScore;
+    bool found = false;
     for (std::size_t t = 0; t < nt; ++t) {
       const PartialBest& p = partials[q * nt + t];
       if (!p.found) continue;
+      found = true;
       const bool better = maximize ? p.score > best : p.score < best;
       if (better) {
         best = p.score;
         predictions[q] = p.label;
       }
     }
+    // No task found a usable view: the fallback label stands, which is a
+    // degradation exactly as in the cold classifier.
+    if (!found) ++stats->fallback;
   }
   return predictions;
 }

@@ -7,7 +7,8 @@
 /// The cold path (`ExperimentContext::RunApproach`) matches one query at a
 /// time against the whole gallery on one thread. The BatchEngine shards
 /// the gallery into contiguous index ranges, fans (query, shard) scoring
-/// tasks of a whole query *batch* out over `ParallelFor` workers, and
+/// tasks of a whole query *batch* out over `ParallelFor` workers (a batch
+/// of one query still splits its scan over the shards in parallel), and
 /// merges the per-shard partial arg-optima sequentially in ascending shard
 /// order. Because every per-view score is computed by the same code the
 /// classifiers run, and the strict-< partial merge reproduces the

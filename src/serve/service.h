@@ -139,8 +139,10 @@ struct ServiceStats {
 ///
 /// Producers call `Submit`/`Classify` from any thread; a single
 /// dispatcher thread coalesces queued requests into shard-parallel
-/// engine batches. Destruction drains: queued requests are still
-/// answered (or expired) before the dispatcher joins.
+/// engine batches. At light load a batch holds one request, whose shard
+/// scans still run in parallel on the `ParallelFor` pool. Destruction
+/// drains: queued requests are still answered (or expired) before the
+/// dispatcher joins.
 class RecognitionService {
  public:
   /// Validating factory: fails like `BatchEngine::Create` (empty or

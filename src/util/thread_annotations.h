@@ -37,7 +37,9 @@
 ///   35  SloMonitor::mutex_          (src/obs/slo.h) — leaf ring update;
 ///       callers (RecognitionService) hold no lock when recording.
 ///   40  MetricsRegistry::mutex_     (src/obs/metrics.h)
-///   50  ParallelFor error_mutex     (src/util/parallel.cc) — leaf.
+///   50  WorkerPool::mutex_          (src/util/parallel.cc) — leaf:
+///       guards the pool's job list and per-job bookkeeping; items run
+///       unlocked, so whatever an item locks is never nested under it.
 ///
 /// How to annotate a new mutex:
 ///   1. Decide where it sits in the nesting order relative to the table

@@ -1,7 +1,6 @@
 // Tests for scene composition, frame segmentation, gallery serialization,
-// the parallel-for utility, and the HSV colour path.
+// and the HSV colour path.
 
-#include <atomic>
 #include <cmath>
 #include <fstream>
 #include <iterator>
@@ -14,7 +13,6 @@
 #include "core/segmentation.h"
 #include "data/scene.h"
 #include "img/color.h"
-#include "util/parallel.h"
 
 namespace snor {
 namespace {
@@ -181,31 +179,6 @@ TEST(GalleryIoTest, RejectsTruncatedFile) {
               static_cast<std::streamsize>(contents.size() / 2));
   }
   EXPECT_FALSE(LoadFeatures(path).ok());
-}
-
-TEST(ParallelForTest, CoversAllIndicesOnce) {
-  std::vector<std::atomic<int>> hits(500);
-  for (auto& h : hits) h = 0;
-  ParallelFor(500, [&](std::size_t i) { ++hits[i]; }, 4);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelForTest, ZeroAndSmallSizes) {
-  ParallelFor(0, [](std::size_t) { FAIL(); }, 4);
-  int count = 0;
-  ParallelFor(5, [&](std::size_t) { ++count; }, 4);  // Runs inline.
-  EXPECT_EQ(count, 5);
-}
-
-TEST(ParallelForTest, MatchesSequentialResult) {
-  std::vector<double> seq(200);
-  std::vector<double> par(200);
-  auto work = [](std::size_t i) {
-    return std::sqrt(static_cast<double>(i) * 3.7 + 1.0);
-  };
-  for (std::size_t i = 0; i < seq.size(); ++i) seq[i] = work(i);
-  ParallelFor(par.size(), [&](std::size_t i) { par[i] = work(i); }, 3);
-  EXPECT_EQ(seq, par);
 }
 
 TEST(HsvTest, KnownConversions) {

@@ -184,7 +184,11 @@ inline ObjectClass Classify(const ApproachSpec& spec,
       }
       const PartialBest best =
           ShapeArgminOverRange(input, gallery, 0, n, spec.shape);
-      return best.found ? best.label : fallback;
+      if (!best.found) {
+        ++stats->fallback;
+        return fallback;
+      }
+      return best.label;
     }
     case ApproachSpec::Kind::kColor: {
       if (!input.valid) {
@@ -193,7 +197,11 @@ inline ObjectClass Classify(const ApproachSpec& spec,
       }
       const PartialBest best =
           ColorArgbestOverRange(input, gallery, 0, n, spec.color);
-      return best.found ? best.label : fallback;
+      if (!best.found) {
+        ++stats->fallback;
+        return fallback;
+      }
+      return best.label;
     }
     case ApproachSpec::Kind::kHybrid: {
       const bool use_shape = ShapeModalityUsable(input);

@@ -182,8 +182,9 @@ TEST(ServeServiceTest, IngestRetryExhaustionAnswersUnavailable) {
 // engine's bank and must be bit-identical to ColorOnlyClassifier with the
 // spec's colour metric. Inputs: a hybrid spec per colour metric, tripped
 // by NaN shape scores (every classification collapses to colour alone),
-// and a shape-only spec, tripped by a query whose Hu moments are NaN
-// (shape unusable, so the primary path answers with the fallback label).
+// and a shape-only spec, tripped once by NaN shape scores (no view has a
+// usable score) and once by a query whose Hu moments are NaN (shape
+// unusable); either way the primary path answers with the fallback label.
 TEST(ServeServiceTest, BreakerTripsToDegradedAndRecoversViaHalfOpen) {
   auto& ctx = Context();
   const auto& gallery = ctx.Sns1Features();
@@ -207,10 +208,12 @@ TEST(ServeServiceTest, BreakerTripsToDegradedAndRecoversViaHalfOpen) {
   shape.kind = ApproachSpec::Kind::kShape;
   shape.shape = ShapeMatchMethod::kI2;
   shape.color = HistCompareMethod::kChiSquare;
+  cases.push_back({shape, true});
   cases.push_back({shape, false});
 
   for (const BreakerCase& c : cases) {
-    SCOPED_TRACE(c.spec.DisplayName());
+    SCOPED_TRACE(c.spec.DisplayName() +
+                 (c.nan_scores ? " / nan-score" : " / no_shape"));
     ServiceOptions options;
     options.breaker.window = 16;
     options.breaker.min_samples = 8;
